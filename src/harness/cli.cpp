@@ -33,7 +33,7 @@ Workload and network:
   --seed S            experiment seed                          (default 42)
   --path-model M      dense | ondemand | auto: pairwise path-metric storage.
                       dense keeps the N^2 latency/hop matrix; ondemand
-                      computes Dijkstra rows lazily under an LRU byte
+                      computes path rows lazily under an LRU byte
                       budget (same values, bounded memory — required
                       for large --nodes). auto = dense up to 2048 nodes
                                                                (default auto)

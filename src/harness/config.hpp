@@ -93,7 +93,7 @@ struct ExperimentConfig {
   net::TopologyParams topology{};  // num_clients is overwritten by num_nodes
 
   /// Pairwise path-metric storage: dense N×N matrix, memory-bounded
-  /// on-demand Dijkstra rows, or automatic by node count (dense up to
+  /// on-demand path rows, or automatic by node count (dense up to
   /// net::kDensePathMaxClients). Dense and on-demand answer identical
   /// values; only memory/time trade off. CLI: --path-model.
   net::PathModelKind path_model = net::PathModelKind::automatic;

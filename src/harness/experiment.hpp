@@ -138,7 +138,7 @@ struct ExperimentResult {
   double shard_busy_ms = 0.0;
   double shard_barrier_wait_ms = 0.0;
   /// Path-model footprint: resident bytes of pairwise-path state (dense
-  /// matrix or cached on-demand rows), Dijkstra row solves, and LRU
+  /// matrix or cached on-demand rows), path row solves, and LRU
   /// evictions (0 for the dense model).
   std::size_t path_model_bytes = 0;
   std::uint64_t path_rows_computed = 0;

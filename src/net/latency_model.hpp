@@ -1,7 +1,7 @@
 // One-way delay models consumed by the simulated transport.
 //
 // The production model (`MatrixLatencyModel`) wraps the precomputed
-// client-to-client Dijkstra matrix; the constant and symmetric-random
+// client-to-client routed-path matrix; the constant and symmetric-random
 // models exist for unit tests and micro-benchmarks.
 #pragma once
 

@@ -1,9 +1,7 @@
 #include "net/path_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <queue>
 #include <string>
 
 #include "common/check.hpp"
@@ -134,77 +132,32 @@ std::vector<double> PathModel::closeness_sums() const {
   return sums;
 }
 
-// ---- Router-level Dijkstra --------------------------------------------------
-
-namespace {
-
-using Cost = std::pair<std::uint32_t, SimTime>;  // (hops, latency)
-constexpr Cost kUnreachedCost{0xffffffffu, kTimeInfinity};
-
-SimTime edge_weight(const Edge& e, double scale) {
-  const SimTime w = e.fixed_latency +
-                    static_cast<SimTime>(std::llround(e.length * scale));
-  return std::max<SimTime>(w, 1);
-}
-
-/// Lexicographic (hops, latency) Dijkstra over router vertices only.
-/// Client leaves have degree 1 with weight >= 1 µs, so no router-to-router
-/// shortest path detours through one; skipping them keeps the solve
-/// independent of the client count while matching the full-graph result.
-void router_dijkstra(const Topology& topo, double scale, VertexId origin,
-                     std::vector<Cost>& dist) {
-  const std::size_t routers = topo.params.num_underlay_vertices;
-  dist.assign(routers, kUnreachedCost);
-  using QEntry = std::pair<Cost, VertexId>;
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-  dist[origin] = {0, 0};
-  queue.emplace(Cost{0, 0}, origin);
-  while (!queue.empty()) {
-    const auto [cost, u] = queue.top();
-    queue.pop();
-    if (cost != dist[u]) continue;  // stale entry
-    for (const Edge& e : topo.graph.neighbors(u)) {
-      if (e.to >= routers) continue;  // client leaf
-      const Cost next{cost.first + 1, cost.second + edge_weight(e, scale)};
-      if (next < dist[e.to]) {
-        dist[e.to] = next;
-        queue.emplace(next, e.to);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 // ---- OnDemandPathModel ------------------------------------------------------
 
 OnDemandPathModel::OnDemandPathModel(const Topology& topo, double scale,
                                      std::size_t cache_bytes)
-    : topo_(topo),
-      scale_(scale),
-      n_(static_cast<std::uint32_t>(topo.client_leaf.size())),
-      cache_budget_(cache_bytes == 0 ? kDefaultCacheBytes : cache_bytes) {
-  const std::size_t routers = topo.params.num_underlay_vertices;
-  attach_of_vertex_.assign(routers, 0xffffffffu);
+    : n_(static_cast<std::uint32_t>(topo.client_leaf.size())),
+      cache_budget_(cache_bytes == 0 ? kDefaultCacheBytes : cache_bytes),
+      paths_(std::make_unique<RouterPaths>(topo, scale)) {
+  attach_of_vertex_.assign(topo.params.num_underlay_vertices, 0xffffffffu);
   attach_of_client_.resize(n_);
   access_weight_.resize(n_);
   for (NodeId c = 0; c < n_; ++c) {
-    const auto& access = topo.graph.neighbors(topo.client_leaf[c]);
-    ESM_CHECK(access.size() == 1, "client leaf must have exactly one link");
-    const VertexId attach = access[0].to;
-    ESM_CHECK(attach < routers, "client must attach to a router vertex");
-    if (attach_of_vertex_[attach] == 0xffffffffu) {
-      attach_of_vertex_[attach] =
+    const ClientAccess access = client_access(topo, c, scale);
+    if (attach_of_vertex_[access.attach] == 0xffffffffu) {
+      attach_of_vertex_[access.attach] =
           static_cast<std::uint32_t>(attach_vertices_.size());
-      attach_vertices_.push_back(attach);
+      attach_vertices_.push_back(access.attach);
     }
-    attach_of_client_[c] = attach_of_vertex_[attach];
-    access_weight_[c] = edge_weight(access[0], scale_);
+    attach_of_client_[c] = attach_of_vertex_[access.attach];
+    access_weight_[c] = access.weight;
   }
   rows_.resize(attach_vertices_.size());
   row_bytes_ = attach_vertices_.size() *
                (sizeof(SimTime) + sizeof(std::uint16_t));
 }
+
+OnDemandPathModel::~OnDemandPathModel() = default;
 
 SimTime OnDemandPathModel::latency(NodeId a, NodeId b) const {
   ESM_CHECK(a < n_ && b < n_, "client id out of range");
@@ -274,16 +227,14 @@ void OnDemandPathModel::compute_row(std::uint32_t attach_index) const {
     ++row_evictions_;
   }
 
-  router_dijkstra(topo_, scale_, attach_vertices_[attach_index], dist_);
+  paths_->solve(attach_vertices_[attach_index]);
   Row& r = rows_[attach_index];
   const std::size_t a_count = attach_vertices_.size();
   r.lat.resize(a_count);
   r.hops.resize(a_count);
   for (std::size_t j = 0; j < a_count; ++j) {
-    const Cost& c = dist_[attach_vertices_[j]];
-    ESM_CHECK(c.second != kTimeInfinity, "underlay graph is disconnected");
-    r.lat[j] = c.second;
-    r.hops[j] = static_cast<std::uint16_t>(c.first);
+    r.lat[j] = paths_->latency(attach_vertices_[j]);
+    r.hops[j] = static_cast<std::uint16_t>(paths_->hops(attach_vertices_[j]));
   }
   lru_.push_front(attach_index);
   r.lru = lru_.begin();
@@ -324,26 +275,23 @@ double mean_client_latency_us(const Topology& topo, double scale) {
   std::vector<VertexId> attach_vertices;
   double access_sum = 0.0;
   for (NodeId c = 0; c < n; ++c) {
-    const auto& access = topo.graph.neighbors(topo.client_leaf[c]);
-    ESM_CHECK(access.size() == 1, "client leaf must have exactly one link");
-    const VertexId attach = access[0].to;
-    ESM_CHECK(attach < routers, "client must attach to a router vertex");
-    if (attach_count[attach] == 0) attach_vertices.push_back(attach);
-    ++attach_count[attach];
-    access_sum += static_cast<double>(edge_weight(access[0], scale));
+    const ClientAccess access = client_access(topo, c, scale);
+    if (attach_count[access.attach] == 0) {
+      attach_vertices.push_back(access.attach);
+    }
+    ++attach_count[access.attach];
+    access_sum += static_cast<double>(access.weight);
   }
   std::sort(attach_vertices.begin(), attach_vertices.end());
 
   double geo_sum = 0.0;
-  std::vector<Cost> dist;
+  RouterPaths paths(topo, scale);
   for (const VertexId u : attach_vertices) {
-    router_dijkstra(topo, scale, u, dist);
+    paths.solve(u);
     double row_sum = 0.0;
     for (const VertexId v : attach_vertices) {
-      ESM_CHECK(dist[v].second != kTimeInfinity,
-                "underlay graph is disconnected");
       row_sum += static_cast<double>(attach_count[v]) *
-                 static_cast<double>(dist[v].second);
+                 static_cast<double>(paths.latency(v));
     }
     geo_sum += static_cast<double>(attach_count[u]) * row_sum;
   }

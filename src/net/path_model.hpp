@@ -6,13 +6,14 @@
 // experiments near the paper's 200-node validation scale. This header
 // splits the *query surface* (PathModel) from the *storage strategy*:
 //
-//   * `ClientMetrics` (net/routing.hpp) keeps the dense all-pairs matrix;
-//     results are bit-for-bit what they always were, so small-N goldens
-//     are untouched.
-//   * `OnDemandPathModel` (below) computes per-source Dijkstra rows lazily
-//     and keeps them in an LRU cache bounded by a byte budget. It exploits
-//     the underlay's structure for exactness AND compactness: every client
-//     leaf hangs off exactly one stub router by a single access edge, so
+//   * `ClientMetrics` (net/routing.hpp) keeps the dense all-pairs matrix,
+//     filled through the same decomposition as below; results are
+//     bit-for-bit what they always were, so small-N goldens are untouched.
+//   * `OnDemandPathModel` (below) computes per-attach-router rows lazily
+//     with the router path solver (net/routing.hpp) and keeps them in an
+//     LRU cache bounded by a byte budget. It exploits the underlay's
+//     structure for exactness AND compactness: every client leaf hangs
+//     off exactly one stub router by a single access edge, so
 //
 //       cost(a, b) = (2, w_a + w_b) + min lexicographic (hops, latency)
 //                    router-path cost between their attach routers.
@@ -39,13 +40,15 @@
 
 namespace esm::net {
 
+class RouterPaths;
+
 /// Storage strategy for pairwise client path metrics.
 enum class PathModelKind : std::uint8_t {
   /// dense for N <= kDensePathMaxClients, ondemand above.
   automatic,
   /// Dense all-pairs matrix (O(N²) memory, O(1) query).
   dense,
-  /// Lazy per-attach-router Dijkstra rows with an LRU byte budget.
+  /// Lazy per-attach-router path rows with an LRU byte budget.
   ondemand,
 };
 
@@ -75,8 +78,8 @@ class PathModel {
 
   /// Approximate resident bytes of path state (matrix or cached rows).
   virtual std::size_t memory_bytes() const = 0;
-  /// Dijkstra source solves performed so far (rows for ondemand, N for
-  /// the dense matrix).
+  /// Path rows solved so far (attach-router rows for ondemand, N for the
+  /// dense matrix).
   virtual std::uint64_t rows_computed() const = 0;
   /// Cached rows discarded to stay under the byte budget (0 for dense).
   virtual std::uint64_t row_evictions() const { return 0; }
@@ -120,6 +123,7 @@ class OnDemandPathModel final : public PathModel {
                     std::size_t cache_bytes = 0);
   explicit OnDemandPathModel(const Topology& topo)
       : OnDemandPathModel(topo, topo.latency_scale) {}
+  ~OnDemandPathModel() override;
 
   std::uint32_t num_clients() const override { return n_; }
   SimTime latency(NodeId a, NodeId b) const override;
@@ -151,8 +155,6 @@ class OnDemandPathModel final : public PathModel {
   void compute_row(std::uint32_t attach_index) const;
   void evict_to_budget(std::uint32_t keep) const;
 
-  const Topology& topo_;
-  double scale_;
   std::uint32_t n_ = 0;
   std::size_t cache_budget_ = 0;
   std::size_t row_bytes_ = 0;  // payload bytes per cached row
@@ -171,8 +173,8 @@ class OnDemandPathModel final : public PathModel {
   mutable std::uint64_t rows_computed_ = 0;
   mutable std::uint64_t row_evictions_ = 0;
 
-  // Scratch for compute_row, reused across solves.
-  mutable std::vector<std::pair<std::uint32_t, SimTime>> dist_;
+  // Solver for compute_row; its scratch is reused across rows.
+  std::unique_ptr<RouterPaths> paths_;
 };
 
 /// Builds the path model for a topology: dense matrix or on-demand rows
@@ -183,8 +185,8 @@ std::unique_ptr<PathModel> make_path_model(const Topology& topo,
                                            std::size_t cache_bytes = 0);
 
 /// Exact mean one-way client-pair latency without materialising any rows:
-/// groups clients by attach router, so the cost is one router Dijkstra per
-/// distinct attach vertex. Equals PathModel::mean_latency_us() for the
+/// groups clients by attach router, so the cost is one router path solve
+/// per distinct attach vertex. Equals PathModel::mean_latency_us() for the
 /// same topology/scale; used to calibrate large-N topologies where the
 /// dense probe would itself be O(N²).
 double mean_client_latency_us(const Topology& topo, double scale);

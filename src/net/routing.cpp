@@ -2,76 +2,72 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 namespace esm::net {
 
-double ClientMetrics::mean_latency_us() const {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      sum += static_cast<double>(latency_[idx(a, b)]);
-      ++count;
-    }
-  }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+namespace {
+
+/// Edge latency in microseconds at `scale`: the fixed part plus the
+/// rounded scaled length, never below 1 µs.
+SimTime edge_weight(const Edge& e, double scale) {
+  const SimTime w = e.fixed_latency +
+                    static_cast<SimTime>(std::llround(e.length * scale));
+  return std::max<SimTime>(w, 1);
 }
 
-double ClientMetrics::mean_hops() const {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      sum += hops_[idx(a, b)];
-      ++count;
-    }
-  }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}  // namespace
+
+ClientAccess client_access(const Topology& topo, NodeId c, double scale) {
+  const auto& access = topo.graph.neighbors(topo.client_leaf[c]);
+  ESM_CHECK(access.size() == 1, "client leaf must have exactly one link");
+  ESM_CHECK(access[0].to < topo.params.num_underlay_vertices,
+            "client must attach to a router vertex");
+  return ClientAccess{access[0].to, edge_weight(access[0], scale)};
 }
 
-double ClientMetrics::hop_fraction(std::uint16_t lo, std::uint16_t hi) const {
-  std::size_t in = 0, count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      ++count;
-      const auto h = hops_[idx(a, b)];
-      if (h >= lo && h <= hi) ++in;
+RouterPaths::RouterPaths(const Topology& topo, double scale) {
+  // Client leaves have degree 1, so no router-to-router path detours
+  // through one; leaving them out keeps a solve independent of the client
+  // count.
+  const VertexId routers = topo.params.num_underlay_vertices;
+  offset_.reserve(routers + 1);
+  offset_.push_back(0);
+  for (VertexId u = 0; u < routers; ++u) {
+    for (const Edge& e : topo.graph.neighbors(u)) {
+      if (e.to >= routers) continue;
+      to_.push_back(e.to);
+      weight_.push_back(edge_weight(e, scale));
     }
+    offset_.push_back(static_cast<std::uint32_t>(to_.size()));
   }
-  return count == 0 ? 0.0 : static_cast<double>(in) / static_cast<double>(count);
+  hops_.resize(routers);
+  latency_.resize(routers);
 }
 
-double ClientMetrics::latency_fraction(SimTime lo, SimTime hi) const {
-  std::size_t in = 0, count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      ++count;
-      const auto l = latency_[idx(a, b)];
-      if (l >= lo && l <= hi) ++in;
+void RouterPaths::solve(VertexId origin) {
+  ESM_CHECK(origin < hops_.size(), "routing origin must be a router vertex");
+  std::fill(hops_.begin(), hops_.end(), kUnreached);
+  hops_[origin] = 0;
+  latency_[origin] = 0;
+  frontier_.assign(1, origin);
+  for (std::uint32_t level = 1; !frontier_.empty(); ++level) {
+    next_.clear();
+    for (const VertexId u : frontier_) {
+      const SimTime base = latency_[u];
+      for (std::uint32_t i = offset_[u]; i < offset_[u + 1]; ++i) {
+        const VertexId v = to_[i];
+        const SimTime lat = base + weight_[i];
+        if (hops_[v] == kUnreached) {
+          hops_[v] = level;
+          latency_[v] = lat;
+          next_.push_back(v);
+        } else if (hops_[v] == level && lat < latency_[v]) {
+          latency_[v] = lat;
+        }
+      }
     }
+    frontier_.swap(next_);
   }
-  return count == 0 ? 0.0 : static_cast<double>(in) / static_cast<double>(count);
-}
-
-SimTime ClientMetrics::latency_quantile(double p) const {
-  std::vector<SimTime> values;
-  values.reserve(std::size_t(n_) * n_);
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a != b) values.push_back(latency_[idx(a, b)]);
-    }
-  }
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  const auto pos = static_cast<std::size_t>(
-      clamped * static_cast<double>(values.size() - 1));
-  return values[pos];
 }
 
 ClientMetrics compute_client_metrics(const Topology& topo) {
@@ -81,50 +77,19 @@ ClientMetrics compute_client_metrics(const Topology& topo) {
 ClientMetrics compute_client_metrics(const Topology& topo, double scale) {
   const auto n = static_cast<std::uint32_t>(topo.client_leaf.size());
   ClientMetrics metrics(n);
-  const std::size_t v_count = topo.graph.num_vertices();
+  std::vector<ClientAccess> access(n);
+  for (NodeId c = 0; c < n; ++c) access[c] = client_access(topo, c, scale);
 
-  // Map graph vertex -> client id for O(1) extraction after each Dijkstra.
-  std::vector<NodeId> leaf_client(v_count, kInvalidNode);
-  for (NodeId c = 0; c < n; ++c) leaf_client[topo.client_leaf[c]] = c;
-
-  // Routing discipline: hop-shortest paths with latency as tie-breaker,
-  // matching how static shortest-path routing (and ModelNet's
-  // pre-computed emulator paths) treats the Inet graph. Minimizing raw
-  // latency instead would thread paths through many cheap geometric
-  // micro-hops and inflate hop counts far beyond the paper's §5.1 stats.
-  using Cost = std::pair<std::uint32_t, SimTime>;  // (hops, latency)
-  constexpr Cost kUnreached{0xffffffffu, kTimeInfinity};
-  std::vector<Cost> dist(v_count);
-  using QEntry = std::pair<Cost, VertexId>;
-
+  RouterPaths paths(topo, scale);
   for (NodeId src = 0; src < n; ++src) {
-    std::fill(dist.begin(), dist.end(), kUnreached);
-    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-    const VertexId origin = topo.client_leaf[src];
-    dist[origin] = {0, 0};
-    queue.emplace(Cost{0, 0}, origin);
-    while (!queue.empty()) {
-      const auto [cost, u] = queue.top();
-      queue.pop();
-      if (cost != dist[u]) continue;  // stale entry
-      for (const Edge& e : topo.graph.neighbors(u)) {
-        const SimTime w =
-            e.fixed_latency +
-            static_cast<SimTime>(std::llround(e.length * scale));
-        const Cost next{cost.first + 1, cost.second + std::max<SimTime>(w, 1)};
-        if (next < dist[e.to]) {
-          dist[e.to] = next;
-          queue.emplace(next, e.to);
-        }
-      }
-    }
-    for (VertexId v = 0; v < v_count; ++v) {
-      const NodeId dst = leaf_client[v];
-      if (dst == kInvalidNode || dst == src) continue;
-      ESM_CHECK(dist[v].second != kTimeInfinity,
-                "underlay graph is disconnected");
-      metrics.set(src, dst, dist[v].second,
-                  static_cast<std::uint16_t>(dist[v].first));
+    paths.solve(access[src].attach);
+    for (NodeId dst = 0; dst < n; ++dst) {
+      if (dst == src) continue;
+      const VertexId attach = access[dst].attach;
+      metrics.set(src, dst,
+                  access[src].weight + paths.latency(attach) +
+                      access[dst].weight,
+                  static_cast<std::uint16_t>(paths.hops(attach) + 2));
     }
   }
   return metrics;

@@ -1,21 +1,77 @@
 // Shortest-path routing over the underlay.
 //
 // The simulated transport does not route packets hop-by-hop; instead the
-// one-way delay between every pair of clients is precomputed here with
-// Dijkstra over the underlay graph (latency edge weights), exactly as
-// ModelNet pre-computes paths through its emulator core. Hop counts along
-// the latency-shortest paths are kept for validating the topology against
-// the paper's §5.1 statistics.
+// one-way delay between clients is precomputed from router-level paths,
+// exactly as ModelNet pre-computes paths through its emulator core.
+// Routing is hop-shortest with latency as tie-breaker, matching how static
+// shortest-path routing treats the Inet graph; minimizing raw latency
+// instead would thread paths through many cheap geometric micro-hops and
+// inflate hop counts far beyond the paper's §5.1 statistics.
+//
+// Every client leaf hangs off one router by a single access link, so a
+// client pair's cost is the router-path cost between their attach routers
+// plus the two access links (see net/path_model.hpp). `RouterPaths` solves
+// the router part: every edge adds exactly one hop, so a breadth-first
+// sweep by hop level that keeps each vertex's smallest latency over its
+// previous-level predecessors yields the lexicographic (hops, latency)
+// minimum a heap Dijkstra would — integer sums and min do not depend on
+// visit order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "net/path_model.hpp"
 #include "net/topology.hpp"
 
 namespace esm::net {
+
+/// A client's access link: the router it attaches to and the link weight.
+struct ClientAccess {
+  VertexId attach = 0;
+  SimTime weight = 0;
+};
+
+/// Reads client `c`'s access link; throws CheckFailure unless the client
+/// leaf has exactly one link and it leads to a router vertex.
+ClientAccess client_access(const Topology& topo, NodeId c, double scale);
+
+/// Lexicographic (hops, latency) shortest paths from one router to every
+/// router, over a compact router-only adjacency whose edge weights are
+/// fixed at construction. Scratch is reused between solves.
+class RouterPaths {
+ public:
+  RouterPaths(const Topology& topo, double scale);
+
+  /// Replaces the current answers with paths from router `origin`.
+  void solve(VertexId origin);
+
+  /// Hop count / latency from the last origin to router `v`; throws
+  /// CheckFailure if `v` is unreachable.
+  std::uint32_t hops(VertexId v) const {
+    ESM_CHECK(hops_[v] != kUnreached, "underlay graph is disconnected");
+    return hops_[v];
+  }
+  SimTime latency(VertexId v) const {
+    ESM_CHECK(hops_[v] != kUnreached, "underlay graph is disconnected");
+    return latency_[v];
+  }
+
+ private:
+  static constexpr std::uint32_t kUnreached = 0xffffffffu;
+
+  // Edges of router u are [offset_[u], offset_[u + 1]) in to_/weight_.
+  std::vector<std::uint32_t> offset_;
+  std::vector<VertexId> to_;
+  std::vector<SimTime> weight_;
+
+  std::vector<std::uint32_t> hops_;
+  std::vector<SimTime> latency_;
+  std::vector<VertexId> frontier_;
+  std::vector<VertexId> next_;
+};
 
 /// Dense client-to-client one-way latency and hop-count matrices — the
 /// PathModel used for small N (O(N²) memory, O(1) query). Large-N runs use
@@ -45,17 +101,6 @@ class ClientMetrics final : public PathModel {
   }
   std::uint64_t rows_computed() const override { return n_; }
 
-  /// Mean one-way latency over ordered pairs (a != b).
-  double mean_latency_us() const override;
-  /// Mean hop count over ordered pairs (a != b).
-  double mean_hops() const override;
-  /// Fraction of ordered pairs whose hop count is in [lo, hi].
-  double hop_fraction(std::uint16_t lo, std::uint16_t hi) const override;
-  /// Fraction of ordered pairs whose latency is in [lo, hi] microseconds.
-  double latency_fraction(SimTime lo, SimTime hi) const override;
-  /// p-quantile (0..1) of the pairwise one-way latency distribution.
-  SimTime latency_quantile(double p) const override;
-
  private:
   std::size_t idx(NodeId a, NodeId b) const {
     ESM_CHECK(a < n_ && b < n_, "client id out of range");
@@ -67,8 +112,8 @@ class ClientMetrics final : public PathModel {
   std::vector<std::uint16_t> hops_;
 };
 
-/// Runs Dijkstra from every client leaf and fills the client matrices,
-/// using `topo.latency_scale` to convert edge lengths to microseconds.
+/// Fills the client matrices from one router solve per client, using
+/// `topo.latency_scale` to convert edge lengths to microseconds.
 ClientMetrics compute_client_metrics(const Topology& topo);
 
 /// Same, with an explicit scale (used by calibration).

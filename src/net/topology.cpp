@@ -190,7 +190,7 @@ Topology generate_topology(const TopologyParams& params, std::uint64_t seed) {
     // Small topologies keep the historical dense probe (bit-for-bit
     // identical scales, so pinned goldens hold); above the dense cutover
     // the attach-grouped closed form gives the same exact mean with one
-    // router Dijkstra per distinct stub instead of O(N²) pairs.
+    // router path solve per distinct stub instead of O(N²) pairs.
     const bool dense_probe = params.num_clients <= kDensePathMaxClients;
     for (int iter = 0; iter < 4; ++iter) {
       const double mean_us =

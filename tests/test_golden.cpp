@@ -61,7 +61,17 @@ TEST(Golden, TopologyScale) {
   // The calibrated latency scale and edge count are pure functions of the
   // seed; drift means the generator's RNG consumption changed.
   EXPECT_EQ(topo.graph.num_edges(), 3644u);
-  EXPECT_NEAR(topo.latency_scale, 61852.14, 0.1);
+  EXPECT_DOUBLE_EQ(topo.latency_scale, 61852.141592020438);
+}
+
+TEST(Golden, TopologyScaleClosedForm) {
+  // Above kDensePathMaxClients calibration uses the attach-grouped closed
+  // form instead of the dense probe; pin that path too.
+  net::TopologyParams params;
+  params.num_clients = 3000;
+  const net::Topology topo = net::generate_topology(params, 2007);
+  EXPECT_EQ(topo.graph.num_edges(), 6544u);
+  EXPECT_DOUBLE_EQ(topo.latency_scale, 64093.723195398961);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 // must be indistinguishable from the dense all-pairs matrix at every
 // query — point latencies/hops, aggregate statistics, closeness sums,
 // and whole-experiment output — while staying inside its byte budget.
+// Both, and the router path solver under them, must match a reference
+// heap Dijkstra over the full graph.
 #include "net/path_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -37,6 +44,131 @@ void expect_models_agree(const PathModel& dense, const PathModel& lazy) {
           << "hops mismatch at (" << a << ", " << b << ")";
     }
   }
+}
+
+// ---- Reference routing ------------------------------------------------------
+
+using Cost = std::pair<std::uint32_t, SimTime>;  // (hops, latency)
+
+/// Test-only reference: lexicographic (hops, latency) heap Dijkstra over
+/// the full graph, client leaves included, from any vertex. Unreached
+/// vertices keep latency kTimeInfinity.
+std::vector<Cost> reference_dijkstra(const Topology& topo, double scale,
+                                     VertexId origin) {
+  std::vector<Cost> dist(topo.graph.num_vertices(),
+                         Cost{0xffffffffu, kTimeInfinity});
+  using QEntry = std::pair<Cost, VertexId>;
+  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
+  dist[origin] = {0, 0};
+  queue.emplace(Cost{0, 0}, origin);
+  while (!queue.empty()) {
+    const auto [cost, u] = queue.top();
+    queue.pop();
+    if (cost != dist[u]) continue;  // stale entry
+    for (const Edge& e : topo.graph.neighbors(u)) {
+      const SimTime w = std::max<SimTime>(
+          e.fixed_latency + static_cast<SimTime>(std::llround(e.length * scale)),
+          1);
+      const Cost next{cost.first + 1, cost.second + w};
+      if (next < dist[e.to]) {
+        dist[e.to] = next;
+        queue.emplace(next, e.to);
+      }
+    }
+  }
+  return dist;
+}
+
+/// RouterPaths rows from every client's attach router equal the reference
+/// on every router vertex.
+void expect_router_rows_match_reference(const Topology& topo) {
+  const double scale = topo.latency_scale;
+  const VertexId routers = topo.params.num_underlay_vertices;
+  RouterPaths paths(topo, scale);
+  for (const VertexId origin : topo.client_vertex) {
+    paths.solve(origin);
+    const std::vector<Cost> ref = reference_dijkstra(topo, scale, origin);
+    for (VertexId v = 0; v < routers; ++v) {
+      ASSERT_EQ(paths.hops(v), ref[v].first)
+          << "hops from " << origin << " to " << v;
+      ASSERT_EQ(paths.latency(v), ref[v].second)
+          << "latency from " << origin << " to " << v;
+    }
+  }
+}
+
+/// The dense matrix equals the reference run from every client leaf.
+void expect_dense_matches_reference(const Topology& topo) {
+  const ClientMetrics dense = compute_client_metrics(topo);
+  const auto n = static_cast<NodeId>(topo.client_leaf.size());
+  for (NodeId a = 0; a < n; ++a) {
+    const std::vector<Cost> ref =
+        reference_dijkstra(topo, topo.latency_scale, topo.client_leaf[a]);
+    for (NodeId b = 0; b < n; ++b) {
+      const Cost want = a == b ? Cost{0, 0} : ref[topo.client_leaf[b]];
+      ASSERT_EQ(dense.latency(a, b), want.second)
+          << "latency mismatch at (" << a << ", " << b << ")";
+      ASSERT_EQ(dense.hops(a, b), want.first)
+          << "hops mismatch at (" << a << ", " << b << ")";
+    }
+  }
+}
+
+TEST(RouterPaths, MatchesReferenceDijkstra) {
+  TopologyParams p;  // the §5.1 underlay, 100 clients on distinct stubs
+  for (std::uint64_t seed : {2007, 2008, 11}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Topology topo = generate_topology(p, seed);
+    expect_router_rows_match_reference(topo);
+    expect_dense_matches_reference(topo);
+  }
+}
+
+TEST(RouterPaths, MatchesReferenceWhenClientsShareStubs) {
+  TopologyParams p;
+  p.num_clients = 3000;
+  p.num_underlay_vertices = 1000;  // ~970 stubs: about three clients each
+  const Topology topo = generate_topology(p, 2007);
+  expect_dense_matches_reference(topo);
+}
+
+TEST(RouterPaths, MatchesReferenceOnEqualHopAlternatives) {
+  // A peer link on every stub router gives many equal-hop paths, so the
+  // latency tie-break decides most rows.
+  TopologyParams p;
+  p.stub_peer_link_prob = 1.0;
+  const Topology topo = generate_topology(p, 2007);
+  expect_router_rows_match_reference(topo);
+  expect_dense_matches_reference(topo);
+}
+
+TEST(RouterPaths, DisconnectedUnderlayThrows) {
+  // Two router islands {0, 1} and {2, 3}, one client on each.
+  Topology topo;
+  topo.params.num_underlay_vertices = 4;
+  topo.params.num_clients = 2;
+  topo.graph = Graph(6);
+  topo.graph.add_edge(0, 1, 0.1);
+  topo.graph.add_edge(2, 3, 0.1);
+  topo.graph.add_edge(4, 1, 0.0, kMillisecond);
+  topo.graph.add_edge(5, 2, 0.0, kMillisecond);
+  topo.client_vertex = {1, 2};
+  topo.client_leaf = {4, 5};
+  topo.latency_scale = 1e5;
+  const auto expect_disconnected = [](const std::function<void()>& f) {
+    try {
+      f();
+      ADD_FAILURE() << "expected CheckFailure";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("underlay graph is disconnected"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_disconnected([&] { compute_client_metrics(topo); });
+  expect_disconnected([&] { mean_client_latency_us(topo, 1e5); });
+  const OnDemandPathModel lazy(topo);
+  expect_disconnected([&] { lazy.latency(0, 1); });
 }
 
 TEST(PathModel, OnDemandMatchesDensePointwise) {
