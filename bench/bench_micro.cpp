@@ -1,6 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot paths that bound
-// experiment throughput: the event queue, the RNG, transport dispatch,
-// Cyclon shuffles and underlay routing.
+// experiment throughput: the event queue, the RNG, Cyclon shuffles, the
+// wire codec and underlay routing. The packet-path microbenchmarks of
+// record (event queue hold model, transport send -> deliver, eager and
+// lazy scheduler messages) live in esmbench/esm_benchmark.cpp as the
+// sim.drv_*, net.drv_* and core.drv_* metrics.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,8 +13,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
-#include "core/scheduler.hpp"
-#include "core/strategies.hpp"
+#include "core/message.hpp"
 #include "overlay/cyclon.hpp"
 #include "wire/codec.hpp"
 #include "sim/simulator.hpp"
@@ -51,49 +53,6 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(10000);
 
-void BM_SimulatorCancelHeavy(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    std::vector<sim::EventHandle> handles;
-    handles.reserve(1000);
-    for (int i = 0; i < 1000; ++i) {
-      handles.push_back(sim.schedule_at(i, [] {}));
-    }
-    for (int i = 0; i < 1000; i += 2) sim.cancel(handles[static_cast<size_t>(i)]);
-    sim.run();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorCancelHeavy);
-
-void BM_SimulatorScheduleCancelInterleaved(benchmark::State& state) {
-  // The retransmission-timer pattern: every scheduled event is cancelled
-  // and replaced before it fires, so the queue stays small while the
-  // schedule/cancel churn is maximal. Exercises slot reuse + generation
-  // bumping on the slab path (hash insert/erase on the old map path).
-  constexpr int kLive = 64;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    std::vector<sim::EventHandle> handles(kLive);
-    int fired = 0;
-    for (int i = 0; i < kLive; ++i) {
-      handles[static_cast<size_t>(i)] =
-          sim.schedule_at(1000 + i, [&fired] { ++fired; });
-    }
-    for (int round = 0; round < 200; ++round) {
-      for (int i = 0; i < kLive; ++i) {
-        sim.cancel(handles[static_cast<size_t>(i)]);
-        handles[static_cast<size_t>(i)] =
-            sim.schedule_at(1000 + round * 7 + i, [&fired] { ++fired; });
-      }
-    }
-    sim.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 200 * kLive);
-}
-BENCHMARK(BM_SimulatorScheduleCancelInterleaved);
-
 void BM_PeriodicTimerRestartStorm(benchmark::State& state) {
   // Timer churn: a bank of periodic timers that is restarted far more
   // often than it ticks — the overlay-shuffle/monitor pattern under churn.
@@ -118,26 +77,6 @@ void BM_PeriodicTimerRestartStorm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100 * kTimers);
 }
 BENCHMARK(BM_PeriodicTimerRestartStorm);
-
-struct NoopPacket final : net::Packet {};
-
-void BM_TransportSendDeliver(benchmark::State& state) {
-  sim::Simulator sim;
-  net::ConstantLatencyModel latency(1000);
-  net::Transport transport(sim, latency, 2, {}, Rng(1));
-  std::uint64_t delivered = 0;
-  transport.register_handler(1, [&](NodeId, const net::PacketPtr&) {
-    ++delivered;
-  });
-  const auto packet = std::make_shared<NoopPacket>();
-  for (auto _ : state) {
-    transport.send(0, 1, packet, 280, true);
-    sim.run();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TransportSendDeliver);
 
 void BM_CyclonShuffleRound(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -167,33 +106,6 @@ void BM_CyclonShuffleRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_CyclonShuffleRound)->Arg(100)->Arg(400);
-
-void BM_SchedulerEagerPath(benchmark::State& state) {
-  sim::Simulator sim;
-  net::ConstantLatencyModel latency(1000);
-  net::Transport transport(sim, latency, 2, {}, Rng(1));
-  core::FlatStrategy strategy(1.0, {}, Rng(2));
-  int received = 0;
-  core::PayloadScheduler sender(sim, transport, 0, strategy,
-                                [](const core::AppMessage&, Round, NodeId) {});
-  core::PayloadScheduler receiver(
-      sim, transport, 1, strategy,
-      [&received](const core::AppMessage&, Round, NodeId) { ++received; });
-  transport.register_handler(1, [&](NodeId src, const net::PacketPtr& p) {
-    receiver.handle_packet(src, p);
-  });
-  std::uint64_t n = 0;
-  core::AppMessage msg;
-  msg.payload_bytes = 256;
-  for (auto _ : state) {
-    msg.id = MsgId{++n, n};
-    sender.l_send(msg, 1, 1);
-    sim.run();
-  }
-  benchmark::DoNotOptimize(received);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SchedulerEagerPath);
 
 void BM_WireEncodeDecodeData(benchmark::State& state) {
   core::DataPacket packet;

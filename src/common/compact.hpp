@@ -17,6 +17,11 @@
 //     Freed objects are *reset, not destroyed*, so any heap the payload
 //     type owns (e.g. a Pending's source vectors) is recycled on reuse —
 //     steady-state operation performs zero per-message allocation.
+//   * InlineVector — vector of trivially copyable values with N inline
+//     slots that spills to the heap beyond them (the one-id IHAVE id list
+//     costs no allocation).
+//   * Ring      — FIFO ring buffer that keeps its capacity, with O(i)
+//     erase near the front (a node's egress queue).
 //
 // Determinism: none of these containers ever iterates in an order that
 // depends on pointer values or randomized hashing. FlatMap's slot order is
@@ -27,8 +32,13 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -291,6 +301,180 @@ class Slab {
  private:
   std::vector<T> items_;
   std::vector<Index> free_;
+};
+
+/// Vector of trivially copyable values holding up to N of them inline and
+/// spilling to one heap block beyond that. Offers only the vector
+/// operations its callers use; clear() keeps a spilled block for reuse.
+template <typename T, std::size_t N>
+class InlineVector {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "InlineVector copies its elements with memcpy");
+  static_assert(N >= 1, "InlineVector needs at least one inline slot");
+
+ public:
+  InlineVector() = default;
+  InlineVector(std::initializer_list<T> init) {
+    append(init.begin(), init.size());
+  }
+  InlineVector(const InlineVector& other) {
+    append(other.data(), other.size());
+  }
+  InlineVector(InlineVector&& other) noexcept { steal(other); }
+  InlineVector& operator=(const InlineVector& other) {
+    if (this != &other) {
+      clear();
+      append(other.data(), other.size());
+    }
+    return *this;
+  }
+  InlineVector& operator=(InlineVector&& other) noexcept {
+    if (this != &other) {
+      free_heap();
+      steal(other);
+    }
+    return *this;
+  }
+  InlineVector& operator=(std::initializer_list<T> init) {
+    clear();
+    append(init.begin(), init.size());
+    return *this;
+  }
+  ~InlineVector() { free_heap(); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t capacity() const { return cap_; }
+  /// True once the elements live in a heap block.
+  bool spilled() const { return heap_ != nullptr; }
+
+  T* data() { return heap_ != nullptr ? heap_ : inline_; }
+  const T* data() const { return heap_ != nullptr ? heap_ : inline_; }
+  T* begin() { return data(); }
+  T* end() { return data() + size_; }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + size_; }
+  T& operator[](std::size_t i) { return data()[i]; }
+  const T& operator[](std::size_t i) const { return data()[i]; }
+  T& front() { return data()[0]; }
+  const T& front() const { return data()[0]; }
+  T& back() { return data()[size_ - 1]; }
+  const T& back() const { return data()[size_ - 1]; }
+
+  void reserve(std::size_t n) {
+    if (n <= cap_) return;
+    ESM_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+              "InlineVector capacity overflow");
+    T* block = static_cast<T*>(::operator new(n * sizeof(T)));
+    if (size_ != 0) std::memcpy(block, data(), size_ * sizeof(T));
+    free_heap();
+    heap_ = block;
+    cap_ = static_cast<std::uint32_t>(n);
+  }
+
+  void push_back(const T& value) {
+    const T copy = value;  // `value` may live in the block reserve() frees
+    if (size_ == cap_) reserve(std::size_t{cap_} * 2);
+    data()[size_++] = copy;
+  }
+
+  void clear() { size_ = 0; }
+
+  friend bool operator==(const InlineVector& a, const InlineVector& b) {
+    if (a.size_ != b.size_) return false;
+    for (std::size_t i = 0; i < a.size_; ++i) {
+      if (!(a[i] == b[i])) return false;
+    }
+    return true;
+  }
+
+ private:
+  void append(const T* items, std::size_t n) {
+    reserve(size_ + n);
+    if (n != 0) std::memcpy(data() + size_, items, n * sizeof(T));
+    size_ += static_cast<std::uint32_t>(n);
+  }
+
+  void steal(InlineVector& other) noexcept {
+    if (other.heap_ != nullptr) {
+      heap_ = other.heap_;
+      cap_ = other.cap_;
+      other.heap_ = nullptr;
+      other.cap_ = N;
+    } else {
+      std::memcpy(inline_, other.inline_, other.size_ * sizeof(T));
+      cap_ = N;
+    }
+    size_ = other.size_;
+    other.size_ = 0;
+  }
+
+  void free_heap() noexcept {
+    if (heap_ != nullptr) {
+      ::operator delete(heap_);
+      heap_ = nullptr;
+      cap_ = N;
+    }
+  }
+
+  T* heap_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = N;
+  T inline_[N]{};
+};
+
+/// FIFO ring buffer over a power-of-two slot array that only ever grows,
+/// so a queue that fills and drains repeatedly stops allocating once it
+/// has seen its peak depth. Popped and erased slots are reset to T{},
+/// releasing whatever the element owned.
+template <typename T>
+class Ring {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t capacity() const { return slots_.size(); }
+
+  /// The i-th element from the front.
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask_];
+  }
+  T& front() { return (*this)[0]; }
+  const T& front() const { return (*this)[0]; }
+
+  void push_back(T value) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & mask_] = std::move(value);
+    ++size_;
+  }
+
+  void pop_front() {
+    slots_[head_] = T{};
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+
+  /// Erases the i-th element, keeping the order of the rest: the i
+  /// elements before it move back one slot, then the front pops. O(i).
+  void erase(std::size_t i) {
+    for (std::size_t j = i; j > 0; --j) (*this)[j] = std::move((*this)[j - 1]);
+    pop_front();
+  }
+
+ private:
+  void grow() {
+    const std::size_t cap = slots_.empty() ? 8 : slots_.size() * 2;
+    std::vector<T> bigger(cap);
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
+    slots_ = std::move(bigger);
+    head_ = 0;
+    mask_ = cap - 1;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
 };
 
 }  // namespace esm::compact

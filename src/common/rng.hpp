@@ -10,7 +10,9 @@
 // identifiers only need to be unique with high probability (paper §3.1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -78,14 +80,24 @@ class Rng {
   /// change any downstream random sequence.
   template <typename T>
   std::vector<T> sample(const T* items, std::size_t n, std::size_t k) {
-    std::vector<T> pool(items, items + n);
+    std::vector<T> out;
+    sample_into(items, n, k, out);
+    return out;
+  }
+
+  /// sample() into a caller-owned vector, whose capacity is reused: the
+  /// same below() calls over the same population order, so callers can
+  /// move between the two freely. `items` must not point into `out`.
+  template <typename T>
+  void sample_into(const T* items, std::size_t n, std::size_t k,
+                   std::vector<T>& out) {
+    out.assign(items, items + n);
     const std::size_t take = k < n ? k : n;
     for (std::size_t i = 0; i < take; ++i) {
       const std::size_t j = i + static_cast<std::size_t>(below(n - i));
-      std::swap(pool[i], pool[j]);
+      std::swap(out[i], out[j]);
     }
-    pool.resize(take);
-    return pool;
+    out.resize(take);
   }
 
  private:

@@ -57,7 +57,8 @@ void GossipNode::forward(const AppMessage& msg, Round round, NodeId from) {
   }
   const bool exclude = params_.exclude_sender && from != kInvalidNode;
   // Over-sample by one so the exclusion does not shrink the fanout.
-  auto targets = sampler_.sample(params_.fanout + (exclude ? 1 : 0));
+  std::vector<NodeId> targets = std::move(targets_scratch_);
+  sampler_.sample_into(params_.fanout + (exclude ? 1 : 0), targets);
   std::size_t sent = 0;
   for (const NodeId peer : targets) {
     if (exclude && peer == from) continue;
@@ -65,6 +66,7 @@ void GossipNode::forward(const AppMessage& msg, Round round, NodeId from) {
     scheduler_.l_send(msg, round + 1, peer);
     ++sent;
   }
+  targets_scratch_ = std::move(targets);
   if (relay_listener_) relay_listener_(msg.id, round, sent);
 }
 

@@ -88,6 +88,9 @@ class GossipNode {
   /// K, as a bitset over the scheduler's arena keys (one bit per message
   /// ever seen in the run instead of a hash-set node per known id).
   compact::DynamicBitset known_;
+  /// Relay targets, reused across forwards (taken while in use, so a
+  /// re-entrant forward gets a fresh vector instead of clobbering it).
+  std::vector<NodeId> targets_scratch_;
   RelayListener relay_listener_;
 };
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/compact.hpp"
 #include "common/types.hpp"
 #include "net/transport.hpp"
 
@@ -50,9 +51,10 @@ struct DataPacket final : public net::Packet {
 /// IHAVE(i...): advertisement that the sender holds payload for the listed
 /// message ids. The paper sends one id per advertisement; the scheduler can
 /// batch several within a short window (ihave_batch_window) to amortize
-/// the header — a standard control-traffic optimization.
+/// the header — a standard control-traffic optimization. The one id of an
+/// unbatched IHAVE sits inline in the packet; batches spill to the heap.
 struct IHavePacket final : public net::Packet {
-  std::vector<MsgId> ids;
+  compact::InlineVector<MsgId, 1> ids;
 };
 
 /// Wire size of an IHAVE carrying `n` ids (header + count + ids).

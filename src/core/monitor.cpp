@@ -27,13 +27,16 @@ void PingMonitor::start() {
 void PingMonitor::stop() { timer_.stop(); }
 
 void PingMonitor::tick() {
-  for (const NodeId peer : sampler_.sample(params_.fanout)) {
-    auto ping = std::make_shared<PingPacket>();
+  std::vector<NodeId> peers = std::move(peers_scratch_);
+  sampler_.sample_into(params_.fanout, peers);
+  for (const NodeId peer : peers) {
+    auto ping = net::make_packet<PingPacket>();
     ping->sent_at = sim_.now();
     ping->is_pong = false;
     transport_.send(self_, peer, std::move(ping), kControlBytes,
                     /*is_payload=*/false);
   }
+  peers_scratch_ = std::move(peers);
 }
 
 bool PingMonitor::handle_packet(NodeId src, const net::PacketPtr& packet) {
@@ -41,7 +44,7 @@ bool PingMonitor::handle_packet(NodeId src, const net::PacketPtr& packet) {
   if (ping == nullptr) return false;
 
   if (!ping->is_pong) {
-    auto pong = std::make_shared<PingPacket>();
+    auto pong = net::make_packet<PingPacket>();
     pong->sent_at = ping->sent_at;  // echoed so the pinger needs no state
     pong->is_pong = true;
     transport_.send(self_, src, std::move(pong), kControlBytes,

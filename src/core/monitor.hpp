@@ -112,6 +112,7 @@ class PingMonitor final : public PerformanceMonitor {
   Params params_;
   Rng rng_;
   compact::FlatMap<NodeId, double> srtt_us_;
+  std::vector<NodeId> peers_scratch_;  // ping targets, reused per tick
   sim::PeriodicTimer timer_;
 };
 

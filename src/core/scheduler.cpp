@@ -54,7 +54,7 @@ PayloadScheduler::Pending* PayloadScheduler::find_pending(MsgKey key) {
 
 void PayloadScheduler::send_data(const AppMessage& msg, Round round,
                                  NodeId dst, bool eager) {
-  auto packet = std::make_shared<DataPacket>();
+  auto packet = net::make_packet<DataPacket>();
   packet->msg = msg;
   packet->round = round;
   transport_.send(self_, dst, std::move(packet), wire_bytes(msg),
@@ -98,7 +98,7 @@ void PayloadScheduler::l_send(const AppMessage& msg, Round round, NodeId dst) {
 
 void PayloadScheduler::enqueue_ihave(MsgKey key, NodeId dst) {
   if (ihave_batch_window_ <= 0) {
-    auto ihave = std::make_shared<IHavePacket>();
+    auto ihave = net::make_packet<IHavePacket>();
     ihave->ids.push_back(arena_->id(key));
     transport_.send(self_, dst, std::move(ihave), ihave_bytes(1),
                     /*is_payload=*/false);
@@ -145,7 +145,7 @@ void PayloadScheduler::flush_ihaves(NodeId dst) {
   const std::vector<MsgKey>& ids = flush_scratch_;
   for (std::size_t off = 0; off < ids.size(); off += kMaxIHaveIds) {
     const std::size_t count = std::min(kMaxIHaveIds, ids.size() - off);
-    auto ihave = std::make_shared<IHavePacket>();
+    auto ihave = net::make_packet<IHavePacket>();
     ihave->ids.reserve(count);
     for (std::size_t i = off; i < off + count; ++i) {
       ihave->ids.push_back(arena_->id(ids[i]));
@@ -230,7 +230,7 @@ void PayloadScheduler::request_timer_fired(MsgKey key) {
   p.last_request_target = target;
   p.last_request_time = sim_.now();
 
-  auto iwant = std::make_shared<IWantPacket>();
+  auto iwant = net::make_packet<IWantPacket>();
   iwant->id = arena_->id(key);
   transport_.send(self_, target, std::move(iwant), kControlBytes,
                   /*is_payload=*/false);
@@ -275,7 +275,7 @@ bool PayloadScheduler::handle_packet(NodeId src, const net::PacketPtr& packet) {
         // stop pushing eagerly to the sender, and the PRUNE packet tells
         // the sender to stop pushing eagerly to us.
         strategy_.on_prune(src);
-        auto prune = std::make_shared<PrunePacket>();
+        auto prune = net::make_packet<PrunePacket>();
         prune->id = data->msg.id;
         transport_.send(self_, src, std::move(prune), kControlBytes,
                         /*is_payload=*/false);

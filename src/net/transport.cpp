@@ -13,6 +13,11 @@ inline std::uint64_t link_key(NodeId a, NodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
+/// Codec mode's in-transit form of a packet: the sender's wire bytes.
+struct EncodedPacket final : Packet {
+  std::vector<std::uint8_t> bytes;
+};
+
 }  // namespace
 
 RandomLatencyModel::RandomLatencyModel(std::uint32_t n, SimTime lo, SimTime hi,
@@ -237,8 +242,10 @@ void Transport::send(NodeId src, NodeId dst, PacketPtr packet,
   // and bill exact encoded sizes. The receiver gets a freshly decoded
   // object, so no in-memory state can leak across the "network".
   if (options_.codec != nullptr) {
-    item.encoded = options_.codec->encode(*packet, src, dst);
-    item.bytes = item.encoded.size();
+    auto encoded = make_packet<EncodedPacket>();
+    encoded->bytes = options_.codec->encode(*packet, src, dst);
+    item.bytes = encoded->bytes.size();
+    item.packet = std::move(encoded);
   } else {
     item.packet = std::move(packet);
     item.bytes = bytes;
@@ -280,15 +287,14 @@ void Transport::send(NodeId src, NodeId dst, PacketPtr packet,
       while (egress.queue.size() > protect &&
              egress.queued_bytes + item.bytes >
                  options_.egress_buffer_bytes) {
-        const auto victim =
-            egress.queue.begin() + static_cast<std::ptrdiff_t>(protect);
-        egress.queued_bytes -= victim->bytes;
+        Queued& victim = egress.queue[protect];
+        egress.queued_bytes -= victim.bytes;
         if (drop_listener_) {
-          drop_listener_(src, victim->dst, victim->is_payload,
+          drop_listener_(src, victim.dst, victim.is_payload,
                          DropReason::kBuffer);
         }
-        if (purge_listener_) purged.push_back(std::move(*victim));
-        egress.queue.erase(victim);
+        if (purge_listener_) purged.push_back(std::move(victim));
+        egress.queue.erase(protect);
         ++counters_[slot_of(src)].buffer_drops;
       }
       if (egress.queued_bytes + item.bytes > options_.egress_buffer_bytes) {
@@ -330,7 +336,7 @@ void Transport::drain(NodeId src) {
           (static_cast<double>(egress.queue.front().bytes) * 8.0 * kSecond) /
           static_cast<double>(bandwidth)),
       1);
-  sim_for(src).schedule_after(tx_time, [this, src] {
+  auto serialized = [this, src] {
     Egress& e = egress_[src];
     ESM_CHECK(!e.queue.empty(), "drain fired on an empty egress queue");
     Queued item = std::move(e.queue.front());
@@ -353,7 +359,10 @@ void Transport::drain(NodeId src) {
       drop_listener_(src, item.dst, item.is_payload, DropReason::kSilenced);
     }
     drain(src);
-  });
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(serialized)>,
+                "the egress drain closure must not allocate");
+  sim_for(src).schedule_after(tx_time, std::move(serialized));
 }
 
 void Transport::transmit(NodeId src, Queued item) {
@@ -404,32 +413,41 @@ void Transport::transmit(NodeId src, Queued item) {
   const SimTime arrival =
       sim_for(src).now() + std::max<SimTime>(delay, 1);
   const NodeId dst = item.dst;
+  const bool is_payload = item.is_payload;
   const std::uint32_t wire_bytes = static_cast<std::uint32_t>(item.bytes);
-  schedule_delivery(src, dst, arrival, wire_bytes,
-                    [this, src, dst, item = std::move(item)] {
-    if (silenced_[dst]) {  // firewalled: nothing gets in
-      if (drop_listener_) {
-        drop_listener_(src, dst, item.is_payload, DropReason::kSilenced);
-      }
-      return;
+  auto arrive = [this, src, dst, is_payload,
+                 packet = std::move(item.packet)] {
+    deliver(src, dst, is_payload, packet);
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(arrive)>,
+                "the packet delivery closure must not allocate");
+  schedule_delivery(src, dst, arrival, wire_bytes, std::move(arrive));
+}
+
+void Transport::deliver(NodeId src, NodeId dst, bool is_payload,
+                        const PacketPtr& packet) {
+  if (silenced_[dst]) {  // firewalled: nothing gets in
+    if (drop_listener_) {
+      drop_listener_(src, dst, is_payload, DropReason::kSilenced);
     }
-    if (handlers_[dst] == nullptr) return;
-    if (options_.codec != nullptr) {
-      handlers_[dst](src, options_.codec->decode(item.encoded));
-    } else {
-      handlers_[dst](src, item.packet);
-    }
-  });
+    return;
+  }
+  if (handlers_[dst] == nullptr) return;
+  if (options_.codec != nullptr) {
+    handlers_[dst](src, decoded(packet));
+  } else {
+    handlers_[dst](src, packet);
+  }
+}
+
+PacketPtr Transport::decoded(const PacketPtr& packet) const {
+  if (options_.codec == nullptr) return packet;
+  return options_.codec->decode(
+      static_cast<const EncodedPacket&>(*packet).bytes);
 }
 
 void Transport::notify_purge(NodeId src, const Queued& item) {
-  PacketPtr packet = item.packet;
-  if (packet == nullptr && options_.codec != nullptr) {
-    packet = options_.codec->decode(item.encoded);
-  }
-  if (packet != nullptr) {
-    purge_listener_(src, item.dst, packet, item.is_payload);
-  }
+  purge_listener_(src, item.dst, decoded(item.packet), item.is_payload);
 }
 
 void Transport::update_watermark(NodeId src) {
@@ -470,7 +488,9 @@ Transport::BackpressureView Transport::backpressure(NodeId node) const {
 bool Transport::egress_accounting_consistent(NodeId node) const {
   const Egress& egress = egress_.at(node);
   std::uint64_t bytes = 0;
-  for (const Queued& item : egress.queue) bytes += item.bytes;
+  for (std::size_t i = 0; i < egress.queue.size(); ++i) {
+    bytes += egress.queue[i].bytes;
+  }
   return bytes == egress.queued_bytes;
 }
 

@@ -15,15 +15,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "common/compact.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/latency_model.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace esm::sim {
@@ -360,14 +361,15 @@ class Transport {
   bool egress_accounting_consistent(NodeId node) const;
 
  private:
-  /// One packet waiting on a node's egress link.
+  /// One packet waiting on a node's egress link. In codec mode `packet`
+  /// is an EncodedPacket (transport.cpp) holding the sender's wire bytes,
+  /// so queue slots and delivery closures carry one PacketPtr either way.
   struct Queued {
     NodeId dst = kInvalidNode;
-    PacketPtr packet;                    // in-memory mode
-    std::vector<std::uint8_t> encoded;   // codec mode
-    std::size_t bytes = 0;
     bool is_payload = false;
-    SimTime enqueued_at = 0;             // for egress sojourn accounting
+    std::size_t bytes = 0;
+    SimTime enqueued_at = 0;  // for egress sojourn accounting
+    PacketPtr packet;
   };
 
   /// Per-directed-link fault modifiers (loss_burst / latency_spike).
@@ -404,7 +406,15 @@ class Transport {
                          std::uint32_t bytes, sim::EventCallback cb);
 
   /// Transmits over the wire: accounting, loss, propagation, delivery.
+  /// The delivery closure captures only what deliver() needs, so it fits
+  /// EventCallback's inline buffer (checked in transport.cpp).
   void transmit(NodeId src, Queued item);
+  /// Arrival at `dst`: dropped (kSilenced) if `dst` is firewalled,
+  /// otherwise handed to its handler, decoded first in codec mode.
+  void deliver(NodeId src, NodeId dst, bool is_payload,
+               const PacketPtr& packet);
+  /// The packet as protocol layers see it: decoded in codec mode.
+  PacketPtr decoded(const PacketPtr& packet) const;
   /// Starts/continues draining a node's egress queue.
   void drain(NodeId src);
   /// Hands a purged item's packet to the purge listener (decoding first in
@@ -429,13 +439,15 @@ class Transport {
   std::vector<bool> silenced_;
   /// Partition group per node; empty = no partition.
   std::vector<int> partition_;
-  /// Per-node egress queues (bandwidth model). A deque, NOT a vector:
+  /// Per-node egress queues (bandwidth model). A ring, NOT a vector:
   /// drain pops the head per transmitted packet and the drop-oldest purge
   /// erases at (or one past) the front, so under sustained overload a
   /// contiguous buffer would go quadratic — exactly the regime the
-  /// bounded-buffer model exists to study.
+  /// bounded-buffer model exists to study. Both stay O(1) in the ring,
+  /// which also keeps its capacity, so a queue that fills and drains
+  /// repeatedly stops allocating once it has seen its peak depth.
   struct Egress {
-    std::deque<Queued> queue;
+    compact::Ring<Queued> queue;
     std::uint64_t queued_bytes = 0;
     bool draining = false;
   };

@@ -64,7 +64,7 @@ void CyclonNode::shuffle_tick() {
   view_.erase(view_.begin() + static_cast<std::ptrdiff_t>(oldest));
 
   // Ship a fresh descriptor of ourselves plus a random slice of the view.
-  auto request = std::make_shared<ShufflePacket>();
+  auto request = net::make_packet<ShufflePacket>();
   request->is_reply = false;
   request->entries.push_back(ViewEntry{self_, 0});
   std::vector<std::size_t> indices(view_.size());
@@ -87,7 +87,7 @@ bool CyclonNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
   if (!shuffle->is_reply) {
     // Answer with a random slice of our view, then merge theirs. The
     // entries we shipped are the preferred victims for replacement.
-    auto reply = std::make_shared<ShufflePacket>();
+    auto reply = net::make_packet<ShufflePacket>();
     reply->is_reply = true;
     std::vector<std::size_t> indices(view_.size());
     for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
@@ -139,20 +139,19 @@ void CyclonNode::merge(const std::vector<ViewEntry>& received,
   }
 }
 
-std::vector<NodeId> CyclonNode::sample(std::size_t f) {
-  std::vector<NodeId> ids;
-  ids.reserve(view_.size());
-  for (const ViewEntry& e : view_) ids.push_back(e.id);
-  return rng_.sample(ids, f);
+void CyclonNode::sample_into(std::size_t f, std::vector<NodeId>& out) {
+  view_ids_.clear();
+  for (const ViewEntry& e : view_) view_ids_.push_back(e.id);
+  rng_.sample_into(view_ids_.data(), view_ids_.size(), f, out);
 }
 
-std::vector<NodeId> FullMembershipSampler::sample(std::size_t f) {
-  std::vector<NodeId> live;
-  live.reserve(transport_.num_nodes());
+void FullMembershipSampler::sample_into(std::size_t f,
+                                        std::vector<NodeId>& out) {
+  live_.clear();
   for (NodeId n = 0; n < transport_.num_nodes(); ++n) {
-    if (n != self_ && !transport_.is_silenced(n)) live.push_back(n);
+    if (n != self_ && !transport_.is_silenced(n)) live_.push_back(n);
   }
-  return rng_.sample(live, f);
+  rng_.sample_into(live_.data(), live_.size(), f, out);
 }
 
 }  // namespace esm::overlay

@@ -74,7 +74,7 @@ class CyclonNode final : public PeerSampler {
   bool handle_packet(NodeId src, const net::PacketPtr& packet);
 
   // PeerSampler:
-  std::vector<NodeId> sample(std::size_t f) override;
+  void sample_into(std::size_t f, std::vector<NodeId>& out) override;
 
   const std::vector<ViewEntry>& view() const { return view_; }
   NodeId self() const { return self_; }
@@ -99,6 +99,7 @@ class CyclonNode final : public PeerSampler {
   /// Descriptors shipped in our outstanding shuffle request, eligible for
   /// replacement when the reply arrives.
   std::vector<NodeId> last_sent_;
+  std::vector<NodeId> view_ids_;  // sample_into() staging, reused
   sim::PeriodicTimer timer_;
 };
 
@@ -109,12 +110,13 @@ class FullMembershipSampler final : public PeerSampler {
   FullMembershipSampler(const net::Transport& transport, NodeId self, Rng rng)
       : transport_(transport), self_(self), rng_(rng) {}
 
-  std::vector<NodeId> sample(std::size_t f) override;
+  void sample_into(std::size_t f, std::vector<NodeId>& out) override;
 
  private:
   const net::Transport& transport_;
   NodeId self_;
   Rng rng_;
+  std::vector<NodeId> live_;  // sample_into() staging, reused
 };
 
 }  // namespace esm::overlay

@@ -20,7 +20,7 @@ HyParViewNode::HyParViewNode(sim::Simulator& sim, net::Transport& transport,
 }
 
 void HyParViewNode::send(NodeId dst, HpvPacket packet) {
-  auto p = std::make_shared<HpvPacket>(std::move(packet));
+  auto p = net::make_packet<HpvPacket>(std::move(packet));
   const std::size_t bytes = p->wire_bytes();
   transport_.send(self_, dst, std::move(p), bytes, /*is_payload=*/false);
 }
@@ -146,8 +146,8 @@ void HyParViewNode::shuffle_tick() {
   send(active_[rng_.below(active_.size())], p);
 }
 
-std::vector<NodeId> HyParViewNode::sample(std::size_t f) {
-  return rng_.sample(active_, f);
+void HyParViewNode::sample_into(std::size_t f, std::vector<NodeId>& out) {
+  rng_.sample_into(active_.data(), active_.size(), f, out);
 }
 
 bool HyParViewNode::handle_packet(NodeId src, const net::PacketPtr& packet) {

@@ -100,7 +100,7 @@ class HyParViewNode final : public PeerSampler {
   bool handle_packet(NodeId src, const net::PacketPtr& packet);
 
   // PeerSampler over the active view.
-  std::vector<NodeId> sample(std::size_t f) override;
+  void sample_into(std::size_t f, std::vector<NodeId>& out) override;
 
   const std::vector<NodeId>& active_view() const { return active_; }
   const std::vector<NodeId>& passive_view() const { return passive_; }

@@ -21,7 +21,7 @@ NeemNode::NeemNode(sim::Simulator& sim, net::Transport& transport, NodeId self,
 }
 
 void NeemNode::send(NodeId dst, NeemPacket packet) {
-  auto p = std::make_shared<NeemPacket>(std::move(packet));
+  auto p = net::make_packet<NeemPacket>(std::move(packet));
   const std::size_t bytes = p->wire_bytes();
   transport_.send(self_, dst, std::move(p), bytes, /*is_payload=*/false);
 }
@@ -109,8 +109,8 @@ void NeemNode::probe_tick() {
   // application's job if we became isolated.
 }
 
-std::vector<NodeId> NeemNode::sample(std::size_t f) {
-  return rng_.sample(connected_, f);
+void NeemNode::sample_into(std::size_t f, std::vector<NodeId>& out) {
+  rng_.sample_into(connected_.data(), connected_.size(), f, out);
 }
 
 bool NeemNode::handle_packet(NodeId src, const net::PacketPtr& packet) {

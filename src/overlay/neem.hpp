@@ -79,7 +79,7 @@ class NeemNode final : public PeerSampler {
   bool handle_packet(NodeId src, const net::PacketPtr& packet);
 
   // PeerSampler over established connections.
-  std::vector<NodeId> sample(std::size_t f) override;
+  void sample_into(std::size_t f, std::vector<NodeId>& out) override;
 
   const std::vector<NodeId>& connections() const { return connected_; }
   bool connected_to(NodeId id) const;

@@ -15,9 +15,17 @@ class PeerSampler {
  public:
   virtual ~PeerSampler() = default;
 
-  /// Returns up to `f` distinct peers, approximately uniform over the live
-  /// membership. May return fewer when the local view is small.
-  virtual std::vector<NodeId> sample(std::size_t f) = 0;
+  /// Replaces `out` with up to `f` distinct peers, approximately uniform
+  /// over the live membership; fewer when the local view is small. Hot
+  /// callers pass a scratch vector they keep, so a relay allocates nothing.
+  virtual void sample_into(std::size_t f, std::vector<NodeId>& out) = 0;
+
+  /// sample_into() into a fresh vector, for tests and cold callers.
+  std::vector<NodeId> sample(std::size_t f) {
+    std::vector<NodeId> out;
+    sample_into(f, out);
+    return out;
+  }
 };
 
 }  // namespace esm::overlay

@@ -89,8 +89,8 @@ class StaticNeighborSampler final : public PeerSampler {
   StaticNeighborSampler(const StaticNeighborSampler&) = delete;
   StaticNeighborSampler& operator=(const StaticNeighborSampler&) = delete;
 
-  std::vector<NodeId> sample(std::size_t f) override {
-    return rng_.sample(data_, size_, f);
+  void sample_into(std::size_t f, std::vector<NodeId>& out) override {
+    rng_.sample_into(data_, size_, f, out);
   }
 
   std::size_t degree() const { return size_; }

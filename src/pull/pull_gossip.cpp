@@ -65,13 +65,16 @@ void PullNode::poll_tick() {
   if (digest.size() > params_.max_digest) {
     digest = rng_.sample(digest, params_.max_digest);
   }
-  for (const NodeId peer : sampler_.sample(params_.fanout)) {
-    auto request = std::make_shared<PullRequestPacket>();
+  std::vector<NodeId> peers = std::move(peers_scratch_);
+  sampler_.sample_into(params_.fanout, peers);
+  for (const NodeId peer : peers) {
+    auto request = net::make_packet<PullRequestPacket>();
     request->known = digest;
     const std::size_t bytes = request->wire_bytes();
     transport_.send(self_, peer, std::move(request), bytes,
                     /*is_payload=*/false);
   }
+  peers_scratch_ = std::move(peers);
 }
 
 bool PullNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
@@ -89,7 +92,7 @@ bool PullNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
     });
     if (missing.empty()) return true;
     if (params_.lazy_reply) {
-      auto advertise = std::make_shared<PullAdvertisePacket>();
+      auto advertise = net::make_packet<PullAdvertisePacket>();
       advertise->ids.reserve(missing.size());
       for (const MsgKey key : missing) {
         advertise->ids.push_back(arena_->id(key));
@@ -101,7 +104,7 @@ bool PullNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
       // Eager pull reply: one payload packet per message, so the payload
       // accounting matches the push protocols'.
       for (const MsgKey key : missing) {
-        auto reply = std::make_shared<PullReplyPacket>();
+        auto reply = net::make_packet<PullReplyPacket>();
         reply->messages.push_back(arena_->message(key));
         const std::size_t bytes = reply->wire_bytes();
         transport_.send(self_, src, std::move(reply), bytes,
@@ -143,7 +146,7 @@ bool PullNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
                        });
     }
     if (!fetch_scratch_.empty()) {
-      auto fetch = std::make_shared<PullFetchPacket>();
+      auto fetch = net::make_packet<PullFetchPacket>();
       fetch->ids.reserve(fetch_scratch_.size());
       for (const FetchCandidate& c : fetch_scratch_) {
         if (fetch_listener_) fetch_listener_(c.id, c.refetch);
@@ -159,7 +162,7 @@ bool PullNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
     for (const MsgId& id : fetch->ids) {
       const MsgKey key = arena_->find(id);
       if (key == kInvalidMsgKey || !known_.test(key)) continue;
-      auto reply = std::make_shared<PullReplyPacket>();
+      auto reply = net::make_packet<PullReplyPacket>();
       reply->messages.push_back(arena_->message(key));
       const std::size_t bytes = reply->wire_bytes();
       transport_.send(self_, src, std::move(reply), bytes,

@@ -182,6 +182,7 @@ class PullNode {
     bool refetch = false;
   };
   std::vector<FetchCandidate> fetch_scratch_;
+  std::vector<NodeId> peers_scratch_;  // poll targets, reused per tick
   sim::PeriodicTimer timer_;
   std::uint64_t duplicate_payloads_ = 0;
   std::uint64_t refetches_ = 0;

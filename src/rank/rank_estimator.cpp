@@ -80,8 +80,10 @@ void GossipRankEstimator::tick() {
     }
   }
   const double own_score = entries_[*index_.find(self_)].score;
-  for (const NodeId peer : sampler_.sample(params_.gossip_fanout)) {
-    auto packet = std::make_shared<RankGossipPacket>();
+  std::vector<NodeId> peers = std::move(peers_scratch_);
+  sampler_.sample_into(params_.gossip_fanout, peers);
+  for (const NodeId peer : peers) {
+    auto packet = net::make_packet<RankGossipPacket>();
     packet->samples.push_back(ScoreSample{self_, own_score, 0});
     for (const ScoreSample& s :
          rng_.sample(all, params_.samples_per_gossip - 1)) {
@@ -91,6 +93,7 @@ void GossipRankEstimator::tick() {
     transport_.send(self_, peer, std::move(packet), bytes,
                     /*is_payload=*/false);
   }
+  peers_scratch_ = std::move(peers);
 }
 
 bool GossipRankEstimator::handle_packet(NodeId, const net::PacketPtr& packet) {

@@ -113,6 +113,7 @@ class GossipRankEstimator final : public core::BestSet {
   /// re-pin gossip-rank runs, see tests/test_equivalence.cpp).
   std::vector<Entry> entries_;
   compact::FlatMap<NodeId, std::uint32_t> index_;
+  std::vector<NodeId> peers_scratch_;  // gossip targets, reused per tick
   sim::PeriodicTimer timer_;
 };
 

@@ -45,10 +45,19 @@ namespace esm::sim {
 /// event loop needs, with none of std::function's copyability overhead.
 class EventCallback {
  public:
-  /// Inline capture budget. Sized for the engine's hot callbacks (a couple
-  /// of pointers, an id, a packet shared_ptr); measured across the harness,
-  /// virtually every scheduled closure fits.
+  /// Inline capture budget. Sized for the engine's hot callbacks: timers
+  /// (an object pointer and a key or node id) and the transport's packet
+  /// delivery and egress drain closures, whose fit transport.cpp
+  /// static_asserts — a field added to one of those captures fails the
+  /// build instead of silently costing one heap allocation per packet.
   static constexpr std::size_t kInlineBytes = 48;
+
+  /// True if a closure of type Fn is stored inline (no heap allocation).
+  template <typename Fn>
+  static constexpr bool fits_inline =
+      sizeof(Fn) <= kInlineBytes &&
+      alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
 
   EventCallback() = default;
 
@@ -57,9 +66,7 @@ class EventCallback {
                 !std::is_same_v<std::decay_t<F>, EventCallback>>>
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {

@@ -114,7 +114,7 @@ core::AppMessage TreeNode::multicast(std::uint32_t payload_bytes,
 }
 
 void TreeNode::forward(const core::AppMessage& msg, NodeId except) {
-  auto packet = std::make_shared<core::DataPacket>();
+  auto packet = net::make_packet<core::DataPacket>();
   packet->msg = msg;
   for (const NodeId neighbor : neighbors_) {
     if (neighbor == except) continue;
@@ -132,7 +132,7 @@ void TreeNode::heartbeat_tick() {
     }
     ++i;
   }
-  auto hb = std::make_shared<HeartbeatPacket>();
+  auto hb = net::make_packet<HeartbeatPacket>();
   for (const NodeId neighbor : neighbors_) {
     transport_.send(self_, neighbor, hb, core::kControlBytes,
                     /*is_payload=*/false);
@@ -163,7 +163,7 @@ void TreeNode::try_reattach() {
             neighbors_.end()) {
       continue;
     }
-    transport_.send(self_, candidate, std::make_shared<AttachRequestPacket>(),
+    transport_.send(self_, candidate, net::make_packet<AttachRequestPacket>(),
                     core::kControlBytes, /*is_payload=*/false);
     return;
   }
@@ -180,7 +180,7 @@ bool TreeNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
     return true;  // heartbeat from a dropped neighbor; ignore
   }
   if (dynamic_cast<const AttachRequestPacket*>(packet.get()) != nullptr) {
-    auto reply = std::make_shared<AttachAcceptPacket>();
+    auto reply = net::make_packet<AttachAcceptPacket>();
     const bool has_room = neighbors_.size() < params_.max_degree;
     const bool already =
         std::find(neighbors_.begin(), neighbors_.end(), src) != neighbors_.end();

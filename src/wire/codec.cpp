@@ -1,6 +1,7 @@
 #include "wire/codec.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/message.hpp"
 #include "core/monitor.hpp"
@@ -79,18 +80,19 @@ core::AppMessage read_app_message(ByteReader& r) {
   return m;
 }
 
-void write_id_list(ByteWriter& w, const std::vector<MsgId>& ids) {
+void write_id_list(ByteWriter& w, std::span<const MsgId> ids) {
   if (ids.size() > core::kMaxIHaveIds) throw DecodeError("id list too long");
   w.u16(static_cast<std::uint16_t>(ids.size()));
   for (const MsgId& id : ids) write_msg_id(w, id);
 }
 
-std::vector<MsgId> read_id_list(ByteReader& r) {
+/// Reads a u16-counted id list into `ids` (a std::vector or an IHAVE's
+/// inline vector), which must be empty.
+template <typename Ids>
+void read_id_list(ByteReader& r, Ids& ids) {
   const std::uint16_t count = r.u16();
-  std::vector<MsgId> ids;
   ids.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) ids.push_back(read_msg_id(r));
-  return ids;
 }
 
 /// Encodes the body and returns its type tag.
@@ -216,7 +218,7 @@ PacketType encode_body(const net::Packet& packet, ByteWriter& w) {
 net::PacketPtr decode_body(PacketType type, ByteReader& r) {
   switch (type) {
     case PacketType::data: {
-      auto p = std::make_shared<core::DataPacket>();
+      auto p = net::make_packet<core::DataPacket>();
       p->msg.id = read_msg_id(r);
       p->msg.origin = r.u32();
       p->msg.seq = r.u32();
@@ -227,22 +229,22 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       return p;
     }
     case PacketType::ihave: {
-      auto p = std::make_shared<core::IHavePacket>();
-      p->ids = read_id_list(r);
+      auto p = net::make_packet<core::IHavePacket>();
+      read_id_list(r, p->ids);
       return p;
     }
     case PacketType::iwant: {
-      auto p = std::make_shared<core::IWantPacket>();
+      auto p = net::make_packet<core::IWantPacket>();
       p->id = read_msg_id(r);
       return p;
     }
     case PacketType::prune: {
-      auto p = std::make_shared<core::PrunePacket>();
+      auto p = net::make_packet<core::PrunePacket>();
       p->id = read_msg_id(r);
       return p;
     }
     case PacketType::shuffle: {
-      auto p = std::make_shared<overlay::ShufflePacket>();
+      auto p = net::make_packet<overlay::ShufflePacket>();
       p->is_reply = r.u8() != 0;
       const std::uint8_t count = r.u8();
       p->entries.reserve(count);
@@ -255,13 +257,13 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       return p;
     }
     case PacketType::ping: {
-      auto p = std::make_shared<core::PingPacket>();
+      auto p = net::make_packet<core::PingPacket>();
       p->sent_at = r.i64();
       p->is_pong = r.u8() != 0;
       return p;
     }
     case PacketType::rank_gossip: {
-      auto p = std::make_shared<rank::RankGossipPacket>();
+      auto p = net::make_packet<rank::RankGossipPacket>();
       const std::uint16_t count = r.u16();
       p->samples.reserve(count);
       for (std::uint16_t i = 0; i < count; ++i) {
@@ -274,12 +276,12 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       return p;
     }
     case PacketType::pull_request: {
-      auto p = std::make_shared<pull::PullRequestPacket>();
-      p->known = read_id_list(r);
+      auto p = net::make_packet<pull::PullRequestPacket>();
+      read_id_list(r, p->known);
       return p;
     }
     case PacketType::pull_reply: {
-      auto p = std::make_shared<pull::PullReplyPacket>();
+      auto p = net::make_packet<pull::PullReplyPacket>();
       const std::uint8_t count = r.u8();
       p->messages.reserve(count);
       for (std::uint8_t i = 0; i < count; ++i) {
@@ -288,17 +290,17 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       return p;
     }
     case PacketType::pull_advertise: {
-      auto p = std::make_shared<pull::PullAdvertisePacket>();
-      p->ids = read_id_list(r);
+      auto p = net::make_packet<pull::PullAdvertisePacket>();
+      read_id_list(r, p->ids);
       return p;
     }
     case PacketType::pull_fetch: {
-      auto p = std::make_shared<pull::PullFetchPacket>();
-      p->ids = read_id_list(r);
+      auto p = net::make_packet<pull::PullFetchPacket>();
+      read_id_list(r, p->ids);
       return p;
     }
     case PacketType::hyparview: {
-      auto p = std::make_shared<overlay::HpvPacket>();
+      auto p = net::make_packet<overlay::HpvPacket>();
       const std::uint8_t kind = r.u8();
       if (kind > static_cast<std::uint8_t>(
                      overlay::HpvPacket::Kind::keepalive_ack)) {
@@ -314,7 +316,7 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       return p;
     }
     case PacketType::neem: {
-      auto p = std::make_shared<overlay::NeemPacket>();
+      auto p = net::make_packet<overlay::NeemPacket>();
       const std::uint8_t kind = r.u8();
       if (kind > static_cast<std::uint8_t>(
                      overlay::NeemPacket::Kind::probe_ack)) {
@@ -327,11 +329,11 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       return p;
     }
     case PacketType::heartbeat:
-      return std::make_shared<tree::HeartbeatPacket>();
+      return net::make_packet<tree::HeartbeatPacket>();
     case PacketType::attach_request:
-      return std::make_shared<tree::AttachRequestPacket>();
+      return net::make_packet<tree::AttachRequestPacket>();
     case PacketType::attach_accept: {
-      auto p = std::make_shared<tree::AttachAcceptPacket>();
+      auto p = net::make_packet<tree::AttachAcceptPacket>();
       p->accepted = r.u8() != 0;
       return p;
     }

@@ -5,7 +5,9 @@
 // on — deterministic intern-key assignment in first-sight order.
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@ using esm::MsgId;
 using esm::MsgKey;
 using esm::compact::DynamicBitset;
 using esm::compact::FlatMap;
+using esm::compact::InlineVector;
+using esm::compact::Ring;
 using esm::compact::Slab;
 using esm::core::MessageArena;
 
@@ -207,6 +211,103 @@ TEST(MessageArena, StoreKeepsCanonicalMessage) {
   // Interned-but-never-stored ids have a key but no payload.
   const MsgKey bare = arena.intern(rng.next_msg_id());
   EXPECT_FALSE(arena.has_message(bare));
+}
+
+TEST(InlineVector, StaysInlineUpToNThenSpills) {
+  InlineVector<MsgId, 1> ids;
+  EXPECT_TRUE(ids.empty());
+  ids.push_back(MsgId{1, 1});
+  EXPECT_FALSE(ids.spilled());
+  EXPECT_EQ(ids.capacity(), 1u);
+  for (std::uint64_t i = 2; i <= 100; ++i) ids.push_back(MsgId{i, i});
+  EXPECT_TRUE(ids.spilled());
+  ASSERT_EQ(ids.size(), 100u);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(ids[i], (MsgId{i + 1, i + 1}));
+  }
+  EXPECT_EQ(ids.front(), (MsgId{1, 1}));
+  EXPECT_EQ(ids.back(), (MsgId{100, 100}));
+  const std::size_t cap = ids.capacity();
+  ids.clear();  // keeps the spilled block
+  EXPECT_TRUE(ids.empty());
+  EXPECT_EQ(ids.capacity(), cap);
+}
+
+TEST(InlineVector, CopyMoveAndAssignKeepContents) {
+  InlineVector<std::uint32_t, 1> one = {7};
+  InlineVector<std::uint32_t, 1> many = {1, 2, 3};
+  InlineVector<std::uint32_t, 1> copy = many;
+  EXPECT_TRUE(copy == many);
+  InlineVector<std::uint32_t, 1> moved = std::move(copy);
+  EXPECT_TRUE(moved == many);
+  EXPECT_TRUE(copy.empty());
+  InlineVector<std::uint32_t, 1> moved_inline = std::move(one);
+  ASSERT_EQ(moved_inline.size(), 1u);
+  EXPECT_EQ(moved_inline[0], 7u);
+  EXPECT_FALSE(moved_inline.spilled());
+  moved_inline = many;
+  EXPECT_TRUE(moved_inline == many);
+  moved_inline = moved_inline;  // self-assignment is a no-op
+  EXPECT_TRUE(moved_inline == many);
+  many = {9};
+  EXPECT_EQ(many.size(), 1u);
+  EXPECT_FALSE(many == moved_inline);
+  std::uint32_t sum = 0;
+  for (const std::uint32_t v : moved_inline) sum += v;
+  EXPECT_EQ(sum, 6u);
+}
+
+TEST(InlineVector, PushBackOfOwnElementSurvivesSpill) {
+  InlineVector<std::uint32_t, 1> v = {5};
+  v.push_back(v[0]);  // reallocates while reading v[0]
+  v.push_back(v[1]);
+  EXPECT_TRUE(v == (InlineVector<std::uint32_t, 1>{5, 5, 5}));
+}
+
+TEST(Ring, MatchesDequeUnderRandomPushPopErase) {
+  // Same operation sequence on a Ring and a std::deque, including
+  // erase at 0 and 1 (the egress purge) across many wrap-arounds.
+  Ring<int> ring;
+  std::deque<int> ref;
+  esm::Rng rng(17);
+  int next = 0;
+  std::size_t peak = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const auto op = rng.below(4);
+    if (op <= 1 || ref.empty()) {
+      ring.push_back(next);
+      ref.push_back(next);
+      ++next;
+    } else if (op == 2) {
+      ring.pop_front();
+      ref.pop_front();
+    } else {
+      const std::size_t at = ref.size() > 1 ? rng.below(2) : 0;
+      ring.erase(at);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ring[i], ref[i]);
+    peak = std::max(peak, ref.size());
+  }
+  EXPECT_LT(ring.capacity(), 2 * peak);  // grown only to the peak depth
+}
+
+TEST(Ring, PopAndEraseReleaseTheElement) {
+  Ring<std::shared_ptr<int>> ring;
+  auto a = std::make_shared<int>(1);
+  auto b = std::make_shared<int>(2);
+  auto c = std::make_shared<int>(3);
+  ring.push_back(a);
+  ring.push_back(b);
+  ring.push_back(c);
+  ring.erase(1);  // b
+  EXPECT_EQ(b.use_count(), 1);
+  EXPECT_EQ(*ring[0], 1);
+  EXPECT_EQ(*ring[1], 3);
+  ring.pop_front();
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(*ring.front(), 3);
 }
 
 }  // namespace

@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "net/packet_pool.hpp"
 #include "sim/simulator.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ESM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ESM_TEST_ASAN 1
+#endif
+#endif
 
 namespace esm::net {
 namespace {
@@ -490,7 +501,7 @@ TEST(Transport, DropOldestKeepsFreshest) {
 }
 
 TEST(Transport, DropOldestSustainedOverloadIsExactAndOrdered) {
-  // Sustained-overload pinning for the deque-backed egress queue: a
+  // Sustained-overload pinning for the ring-backed egress queue: a
   // front-of-queue purge per arrival must keep exact drop counts and the
   // head-survives / freshest-survives delivery pattern at burst sizes
   // where an erase-at-front-of-vector implementation would go quadratic.
@@ -755,6 +766,35 @@ TEST(Transport, DropOldestKeepsAccountingConsistentUnderOverload) {
   ASSERT_EQ(f.received[1].size(), 2u);
 }
 
+TEST(Transport, DropOldestPurgeOrderSurvivesRingWrapAround) {
+  // 1000-byte packets take 1 s each at 8 kb/s; the buffer holds four.
+  // The sends below push the ring's write position past its initial
+  // 8-slot capacity while purges erase one past the in-service head, so
+  // the purge order is checked across the wrap.
+  TransportOptions opts;
+  opts.bandwidth_bps = 8'000;
+  opts.egress_buffer_bytes = 4500;
+  opts.purge_policy = TransportOptions::PurgePolicy::drop_oldest;
+  Fixture f(2, opts);
+  const auto send = [&f](int tag) {
+    f.transport.send(0, 1, make_packet(tag), 1000, true);
+    ASSERT_TRUE(f.transport.egress_accounting_consistent(0));
+    ASSERT_LE(f.transport.egress_queued_bytes(0), 4500u);
+  };
+  for (int tag = 0; tag < 4; ++tag) send(tag);  // [0* 1 2 3]
+  f.sim.run_until(2500 * kMillisecond);         // [2* 3]
+  for (int tag = 4; tag < 8; ++tag) send(tag);  // purges 3, 4: [2* 5 6 7]
+  f.sim.run_until(5500 * kMillisecond);         // [7*]
+  for (int tag = 8; tag < 13; ++tag) send(tag);  // purges 8, 9: [7* 10 11 12]
+  EXPECT_EQ(f.transport.egress_depth(0), 4u);
+  f.sim.run();
+  EXPECT_TRUE(f.transport.egress_accounting_consistent(0));
+  EXPECT_EQ(f.transport.buffer_drops(), 4u);
+  std::vector<int> tags;
+  for (const auto& [src, tag] : f.received[1]) tags.push_back(tag);
+  EXPECT_EQ(tags, (std::vector<int>{0, 1, 2, 5, 6, 7, 10, 11, 12}));
+}
+
 TEST(Transport, JitterStaysWithinBounds) {
   TransportOptions opts;
   opts.jitter = 0.2;
@@ -820,6 +860,108 @@ TEST(LatencyModels, RandomModelIsSymmetricWithinRange) {
     }
   }
 }
+
+// --------------------------------------------------------- packet storage
+
+struct OtherPacket final : public Packet {};
+
+/// Counts destructions, to observe late releases.
+std::atomic<int> g_counted_destroyed{0};
+struct CountedPacket final : public Packet {
+  ~CountedPacket() override { ++g_counted_destroyed; }
+};
+
+TEST(PacketPool, ReleasedBlockIsReusedOnTheSameThread) {
+  auto first = net::make_packet<TestPacket>();
+  const void* address = first.get();
+  first.reset();
+  const auto second = net::make_packet<TestPacket>();
+  EXPECT_EQ(second.get(), address);
+}
+
+TEST(PacketPool, PooledPacketSupportsDynamicPointerCast) {
+  auto made = net::make_packet<TestPacket>();
+  made->tag = 5;
+  const PacketPtr packet = std::move(made);
+  const auto typed = std::dynamic_pointer_cast<const TestPacket>(packet);
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->tag, 5);
+  EXPECT_EQ(typed.use_count(), 2);
+  EXPECT_EQ(std::dynamic_pointer_cast<const OtherPacket>(packet), nullptr);
+}
+
+TEST(PacketPool, ReleaseOnAnotherThreadFeedsThatThreadsList) {
+  auto packet = net::make_packet<TestPacket>();
+  const void* address = packet.get();
+  bool reused_by_releaser = false;
+  std::thread releaser([&] {
+    packet.reset();  // released here, made on the test thread
+    const auto again = net::make_packet<TestPacket>();
+    reused_by_releaser = again.get() == address;
+  });  // the releaser's list is freed when it exits
+  releaser.join();
+  EXPECT_TRUE(reused_by_releaser);
+}
+
+TEST(PacketPool, PacketOutlivesItsAllocatingThread) {
+  std::shared_ptr<TestPacket> packet;
+  std::thread maker([&packet] {
+    packet = net::make_packet<TestPacket>();
+    packet->tag = 42;
+  });
+  maker.join();  // the maker's pool is gone; the packet is not
+  const void* address = packet.get();
+  EXPECT_EQ(packet->tag, 42);
+  packet.reset();  // lands on this thread's list
+  const auto again = net::make_packet<TestPacket>();
+  EXPECT_EQ(again.get(), address);
+}
+
+TEST(PacketPool, ReleaseAfterThreadPoolTeardownFreesDirectly) {
+  // Thread-local objects die in reverse construction order: `holder` is
+  // built before the thread's pool, so it outlives the pool and releases
+  // its packet after the pool is gone, which must go to operator delete
+  // (a double free or a leak here fails the sanitizer builds).
+  g_counted_destroyed = 0;
+  std::thread worker([] {
+    thread_local PacketPtr holder;
+    holder = net::make_packet<CountedPacket>();
+  });
+  worker.join();
+  EXPECT_EQ(g_counted_destroyed.load(), 1);
+}
+
+TEST(PacketPool, FreeListIsCappedPerSizeClass) {
+  constexpr std::size_t kBytes = 64;
+  std::vector<void*> blocks(net::packet_pool::kPoolListCap + 10);
+  for (void*& block : blocks) block = net::packet_pool::allocate(kBytes);
+  EXPECT_EQ(net::packet_pool::free_blocks(kBytes), 0u);
+  for (void* block : blocks) net::packet_pool::release(block, kBytes);
+  EXPECT_EQ(net::packet_pool::free_blocks(kBytes),
+            net::packet_pool::kPoolListCap);
+}
+
+TEST(PacketPool, OversizedBlocksBypassThePool) {
+  constexpr std::size_t kBytes = net::packet_pool::kMaxBlock + 1;
+  void* block = net::packet_pool::allocate(kBytes);
+  net::packet_pool::release(block, kBytes);
+  EXPECT_EQ(net::packet_pool::free_blocks(kBytes), 0u);
+}
+
+#ifdef ESM_TEST_ASAN
+TEST(PacketPoolDeathTest, UseAfterReleaseTripsAddressSanitizer) {
+  // Blocks are poisoned while they sit on a free list.
+  EXPECT_DEATH(
+      {
+        auto packet = net::make_packet<TestPacket>();
+        const TestPacket* raw = packet.get();
+        packet.reset();
+        volatile int tag = raw->tag;
+        (void)tag;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace esm::net

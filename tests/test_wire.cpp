@@ -341,6 +341,38 @@ TEST(Codec, IHaveIdListWireCapBoundary) {
   EXPECT_THROW(encode_packet(overflow, 0, 1), DecodeError);
 }
 
+TEST(Codec, IHaveRoundTripsAtOneTwoAndMaxIds) {
+  // One id sits inline in the packet; more spill to the heap. Either way
+  // the wire bytes and the decoded list must match, up to the u16 cap.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, core::kMaxIHaveIds}) {
+    core::IHavePacket ihave;
+    for (std::uint64_t i = 0; i < n; ++i) ihave.ids.push_back(MsgId{i, ~i});
+    EXPECT_EQ(ihave.ids.spilled(), n > 1);
+    EXPECT_EQ(encoded_size(ihave), core::ihave_bytes(n));
+    const auto decoded = round_trip(ihave);
+    ASSERT_EQ(decoded->ids.size(), n);
+    EXPECT_EQ(decoded->ids.spilled(), n > 1);
+    EXPECT_TRUE(decoded->ids == ihave.ids);
+  }
+}
+
+TEST(Codec, DecodedPacketsAreDynamicPointerCastable) {
+  // Decoded packets come from pooled storage; PacketPtr casts must behave
+  // exactly as on make_shared packets.
+  core::IWantPacket iwant;
+  iwant.id = MsgId{5, 6};
+  const net::PacketPtr decoded =
+      decode_packet(encode_packet(iwant, 0, 1)).packet;
+  const auto typed =
+      std::dynamic_pointer_cast<const core::IWantPacket>(decoded);
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->id, (MsgId{5, 6}));
+  EXPECT_EQ(typed.use_count(), 2);
+  EXPECT_EQ(std::dynamic_pointer_cast<const core::IHavePacket>(decoded),
+            nullptr);
+}
+
 TEST(Codec, RandomInputNeverCrashes) {
   Rng rng(123);
   for (int trial = 0; trial < 2000; ++trial) {
