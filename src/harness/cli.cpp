@@ -105,7 +105,8 @@ Execution:
                       (default 1 = the single-threaded engine). Results
                       are bit-for-bit identical at every shard count >= 2;
                       composes with --jobs. Incompatible with --scenario,
-                      --churn, --trace* and --tree-stats. Adds sim_shard_*
+                      --churn, --noise, --trace* and --tree-stats (also as
+                      sweep points). Adds sim_shard_*
                       output lines; --metrics-out emits the sim.shard.*
                       execution block (no per-node lifecycle metrics).
 
@@ -495,29 +496,10 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     error = "--backpressure on: requires a bounded egress buffer (--buffer)";
     return std::nullopt;
   }
-  // --shards v1 gates (parse-time view; run_experiment re-checks the
-  // final config, catching flags the tools apply after parsing).
-  if (c.shards >= 2) {
-    if (!c.scenario.empty() || !options.scenario_path.empty()) {
-      error = "--shards: scenario scripts need the single-threaded engine";
-      return std::nullopt;
-    }
-    if (c.churn_rate > 0.0) {
-      error = "--shards: --churn needs the single-threaded engine";
-      return std::nullopt;
-    }
-    if (c.collect_trace || c.collect_tree_stats || c.trace_sink != nullptr) {
-      error = "--shards: trace collection needs the single-threaded engine";
-      return std::nullopt;
-    }
-    // collect_metrics is allowed: the sharded engine emits the sim.shard.*
-    // execution block (lifecycle instrumentation stays single-threaded).
-    if (c.strategy.noise > 0.0) {
-      error = "--shards: --noise needs the single-threaded engine (the "
-              "shared calibration is order-dependent)";
-      return std::nullopt;
-    }
-  }
+  // Parse-time view of the --shards gates; run_experiment re-checks the
+  // final config, catching flags the tools apply after parsing.
+  error = shard_gate_error(c, !options.scenario_path.empty());
+  if (!error.empty()) return std::nullopt;
   if ((wl_senders > 0 || wl_aux_seen) && !options.workload_path.empty()) {
     error = "--workload: cannot be combined with inline workload flags";
     return std::nullopt;
@@ -663,7 +645,10 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
     error = "unknown sweep parameter: " + name;
     return false;
   }
-  return true;
+  // A sweep point may enter a gated combination the base config was not
+  // in (--param shards over --churn, --param noise over --shards 2).
+  error = shard_gate_error(config);
+  return error.empty();
 }
 
 std::optional<std::vector<double>> parse_value_list(const std::string& text,

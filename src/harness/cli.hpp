@@ -65,8 +65,9 @@ std::string format_metrics_json(
 /// Applies one named sweep parameter to a config (used by `esm_sweep`).
 /// Supported names: pi, u, rho, best, noise, t0-ms, loss, kill, churn,
 /// batch-ms, interval-ms, period-ms, retry-rounds, fanout, nodes,
-/// messages, seed, senders, rate, duration-ms, burst-on-ms, burst-off-ms.
-/// Returns false and sets `error` for unknown names.
+/// messages, seed, shards, backpressure, senders, rate, duration-ms,
+/// burst-on-ms, burst-off-ms. Returns false and sets `error` for unknown
+/// names, invalid values, and points that fail shard_gate_error().
 bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
                        double value, std::string& error);
 

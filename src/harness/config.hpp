@@ -179,15 +179,17 @@ struct ExperimentConfig {
 
   /// Intra-run parallelism (--shards): partition nodes across this many
   /// worker threads driven through conservative time windows
-  /// (sim::ShardedSimulator). 1 = the single-threaded engine, bit-for-bit
-  /// the legacy results. >= 2 runs the sharded engine, whose results are
-  /// bit-identical at ANY shard count but may order same-microsecond
-  /// arrival ties differently from the legacy engine. Composes freely
-  /// with the runner's --jobs (shards parallelize one run, jobs
-  /// parallelize across runs). v1 gates: incompatible with scenario
-  /// scripts, churn, strategy noise (the shared calibration is
-  /// order-dependent) and trace/tree-stats/metrics collection (warm-up
-  /// kills are fine — they happen between windows).
+  /// (sim::ShardedSimulator). One assembly, two event orders: 1 = the
+  /// single-threaded engine's FIFO order, which its goldens pin; >= 2 =
+  /// the sharded engine's (time, key, seq) order, bit-identical at ANY
+  /// shard count but may order same-microsecond arrival ties differently
+  /// from shards == 1. Composes freely with the runner's --jobs (shards
+  /// parallelize one run, jobs parallelize across runs). Gates (see
+  /// shard_gate_error): scenario scripts, churn, strategy noise (the
+  /// shared calibration is order-dependent), traces and tree stats need
+  /// shards == 1. Metrics collection works, exporting only the
+  /// sim.shard.* block; warm-up kills are fine — they happen between
+  /// windows.
   std::uint32_t shards = 1;
 
   // Failure injection (§6.3): kill_fraction of nodes silenced right after

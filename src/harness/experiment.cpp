@@ -255,134 +255,190 @@ std::unique_ptr<core::TransmissionStrategy> make_strategy(
   return nullptr;
 }
 
-/// The sharded (multi-threaded) assembly, defined after run_experiment.
-/// Mirrors the legacy assembly step for step; every difference is a
-/// comment of the form "sharded:" there.
-ExperimentResult run_experiment_sharded(const ExperimentConfig& config);
-
 }  // namespace
 
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  // Engine split: shards == 1 runs the code below, byte-for-byte the
-  // single-threaded engine the golden fingerprints pin. shards >= 2 runs
-  // the conservative-window engine, which is bit-identical at any shard
-  // count but may order same-microsecond arrival ties differently from
-  // this engine.
-  if (config.shards >= 2) return run_experiment_sharded(config);
-  ESM_CHECK(config.num_nodes >= 2, "need at least two nodes");
-  ESM_CHECK(config.kill_fraction >= 0.0 && config.kill_fraction < 1.0,
-            "kill fraction must be in [0, 1)");
-  config.scenario.validate(config.num_nodes);
-  Rng root(config.seed);
-
-  // Heavy-traffic workload: resolve the whole arrival plan up front from
-  // a dedicated RNG split. split() is const, so legacy runs (empty
-  // workload) draw exactly the same sequences as before this subsystem
-  // existed — the golden fingerprints pin that.
-  const bool use_workload = !config.workload.empty();
-  load::WorkloadPlan plan;
-  if (use_workload) {
-    plan = load::build_plan(config.workload, config.num_nodes,
-                            root.split(0x776b6c64ULL));  // "wkld"
-    ESM_CHECK(!plan.arrivals.empty(),
-              "workload generated no arrivals (rate * duration too small)");
+std::string shard_gate_error(const ExperimentConfig& config,
+                             bool scenario_file) {
+  if (config.shards < 2) return {};
+  if (!config.scenario.empty() || scenario_file) {
+    return "--shards: scenario scripts need the single-threaded engine";
   }
-  const std::uint32_t num_messages =
-      use_workload ? static_cast<std::uint32_t>(plan.size())
-                   : config.num_messages;
-  // Mean spacing between multicasts, for sizing the GC message window.
-  const SimTime effective_interval =
-      use_workload
-          ? config.workload.duration / static_cast<SimTime>(plan.size())
-          : config.mean_interval;
-
-  // --- 1. Underlay, routing, ranking --------------------------------------
-  net::TopologyParams topo_params = config.topology;
-  topo_params.num_clients = config.num_nodes;
-  const net::Topology topo = generate_topology(topo_params, config.seed);
-  // Pairwise path metrics: dense matrix for small N, memory-bounded
-  // on-demand rows above the cutover (or whatever the config forces).
-  const std::unique_ptr<net::PathModel> path_model =
-      net::make_path_model(topo, config.path_model, config.path_cache_bytes);
-  const net::PathModel& metrics = *path_model;
-  net::PathLatencyModel latency(metrics);
-
-  const bool needs_monitor = config.strategy.kind == StrategyKind::radius ||
-                             config.strategy.kind == StrategyKind::hybrid;
-  const bool needs_best = config.strategy.kind == StrategyKind::ranked ||
-                          config.strategy.kind == StrategyKind::hybrid;
-  const bool use_gossip_rank = needs_best && config.strategy.use_gossip_rank;
-  // The oracle closeness ranking costs O(N²) point queries, so it is only
-  // computed when something consumes it: a ranked/hybrid best set, a
-  // best-ranked kill list, or a fault scenario (whose crash-best events
-  // address nodes by rank).
-  const bool needs_closeness =
-      needs_best ||
-      (config.kill_fraction > 0.0 &&
-       config.kill_mode == KillMode::best_ranked) ||
-      !config.scenario.empty() ||
-      // Tree stats compare interior-node concentration against the
-      // capacity ranking even for unranked strategies.
-      config.collect_tree_stats;
-
-  std::vector<double> closeness_sums;
-  std::vector<NodeId> closeness_order;
-  if (needs_closeness) {
-    closeness_sums = metrics.closeness_sums();
-    closeness_order = order_by_closeness_sums(closeness_sums);
+  if (config.churn_rate != 0.0) {
+    return "--shards: --churn needs the single-threaded engine";
   }
-
-  std::vector<NodeId> oracle_best;
-  if (needs_best) {
-    const auto num_best = static_cast<std::uint32_t>(std::lround(
-        config.strategy.best_fraction *
-        static_cast<double>(config.num_nodes)));
-    oracle_best.assign(closeness_order.begin(),
-                       closeness_order.begin() +
-                           std::min<std::uint32_t>(num_best,
-                                                   config.num_nodes));
+  if (config.strategy.noise != 0.0) {
+    return "--shards: --noise needs the single-threaded engine (the shared "
+           "calibration is order-dependent)";
   }
-
-  sim::Simulator sim;
-  net::TransportOptions topts;
-  topts.loss_rate = config.loss_rate;
-  topts.bandwidth_bps = config.bandwidth_bps;
-  topts.jitter = config.jitter;
-  topts.egress_buffer_bytes = config.egress_buffer_bytes;
-  topts.purge_policy = config.purge_policy;
-  if (config.backpressure && config.egress_buffer_bytes > 0) {
-    topts.high_watermark = config.bp_high_watermark;
-    topts.low_watermark = config.bp_low_watermark;
+  if (config.collect_trace || config.trace_sink != nullptr) {
+    return "--shards: trace collection needs the single-threaded engine";
   }
-  if (config.slow_fraction > 0.0) {
-    topts.node_bandwidth_bps.assign(config.num_nodes, config.bandwidth_bps);
-    std::vector<NodeId> everyone(config.num_nodes);
-    std::iota(everyone.begin(), everyone.end(), 0);
-    Rng slow_rng = root.split(0x736c6f77ULL);
-    const auto num_slow = static_cast<std::uint32_t>(std::lround(
-        config.slow_fraction * static_cast<double>(config.num_nodes)));
-    for (const NodeId s : slow_rng.sample(everyone, num_slow)) {
-      topts.node_bandwidth_bps[s] = config.slow_bandwidth_bps;
+  if (config.collect_tree_stats) {
+    return "--shards: --tree-stats needs the single-threaded engine";
+  }
+  return {};
+}
+
+namespace {
+
+/// The event engine of one run, and the only code that branches on the
+/// shard count. shards == 1 holds one sim::Simulator: FIFO order within a
+/// timestamp, the order the single-threaded goldens pin, and the
+/// transport stays unbound. shards >= 2 holds a sim::ShardedSimulator:
+/// (time, key, seq) order, bit-identical at every shard count, with the
+/// transport bound to its shard simulators.
+class Engine {
+ public:
+  explicit Engine(std::uint32_t shards) {
+    if (shards >= 2) {
+      world_.emplace(shards);
+    } else {
+      sim_.emplace();
     }
   }
-  const wire::WireCodec wire_codec;
-  if (config.use_wire_codec) topts.codec = &wire_codec;
-  net::Transport transport(sim, latency, config.num_nodes, topts,
-                           root.split(0x7472616eULL));
 
-  // Shared oracle components.
-  core::OracleLatencyMonitor oracle_monitor(latency);
-  core::DistanceMonitor distance_monitor(topo.client_coords);
-  core::StaticBestSet static_best(oracle_best);
+  bool sharded() const { return world_.has_value(); }
+  std::uint32_t num_shards() const {
+    return world_ ? world_->num_shards() : 1;
+  }
+  std::uint32_t shard_of(NodeId node) const {
+    return world_ ? world_->shard_of(node) : 0;
+  }
+  sim::Simulator& shard(std::uint32_t s) {
+    return world_ ? world_->shard(s) : *sim_;
+  }
+  sim::Simulator& sim_for(NodeId node) { return shard(shard_of(node)); }
+  /// Run-global periodic work (GC sweeps, censuses, churn, faults).
+  /// Sharded, its events run on the coordinator thread while every worker
+  /// is parked at the window barrier, so they may touch any shard's state.
+  sim::Simulator& control() { return world_ ? world_->control() : *sim_; }
 
-  // One system-wide noise calibration (paper §4.3: a single constant c).
-  // Strategies are also wrapped (at zero noise, an exact identity) when a
-  // scenario ramps noise mid-run, so the injector has a knob to turn.
-  auto noise_calibration = std::make_shared<core::NoiseCalibration>();
-  const bool wrap_noise =
-      config.strategy.noise > 0.0 || config.scenario.has_noise_events();
+  void run_until(SimTime end) {
+    if (world_) {
+      world_->run_until(end);
+    } else {
+      sim_->run_until(end);
+    }
+  }
+  SimTime now() const { return world_ ? world_->now() : sim_->now(); }
+  std::uint64_t events_executed() const {
+    return world_ ? world_->events_executed() : sim_->events_executed();
+  }
 
-  // --- 2. Per-node stacks ---------------------------------------------------
+  /// Sets the conservative window width and routes the transport's
+  /// per-node scheduling through the shard simulators, splitting its
+  /// accounting per shard. Jitter can shrink a one-way delay to
+  /// (1 - jitter) of the routed latency, never below, so that scaling of
+  /// the path model's lower bound is a valid lookahead for every
+  /// cross-shard packet.
+  void bind(net::Transport& transport, const net::PathModel& paths,
+            double jitter,
+            std::vector<const net::LatencyModel*> shard_latency) {
+    if (!world_) return;
+    const auto bound = static_cast<double>(paths.min_latency_lower_bound());
+    lookahead_ = std::max<SimTime>(
+        1, static_cast<SimTime>(std::floor(bound * (1.0 - jitter))));
+    world_->set_lookahead(lookahead_);
+    transport.bind_shards(*world_, std::move(shard_latency));
+  }
+
+  /// Conservative-window execution accounting: the result's shard fields
+  /// and, when metrics are collected, the sim.shard.* block. Windows,
+  /// mailbox counters and the lookahead are deterministic; the busy/wait
+  /// wall-clock split is a diagnostic that varies run to run.
+  void report(ExperimentResult& result, obs::RunMetrics* metrics) const {
+    if (!world_) return;
+    const sim::ShardedSimulator::Stats stats = world_->stats();
+    result.shards_used = num_shards();
+    result.shard_windows = stats.windows;
+    result.shard_mailbox_packets = stats.mailbox_packets;
+    result.shard_mailbox_bytes = stats.mailbox_bytes;
+    result.shard_lookahead_ms = to_ms(lookahead_);
+    for (std::uint64_t ns : stats.busy_ns) {
+      result.shard_busy_ms += static_cast<double>(ns) / 1e6;
+    }
+    for (std::uint64_t ns : stats.wait_ns) {
+      result.shard_barrier_wait_ms += static_cast<double>(ns) / 1e6;
+    }
+    if (metrics == nullptr) return;
+    obs::MetricsRegistry& agg = metrics->aggregate;
+    agg.add_counter("sim.shard.windows", stats.windows);
+    agg.add_counter("sim.shard.mailbox_packets", stats.mailbox_packets);
+    agg.add_counter("sim.shard.mailbox_bytes", stats.mailbox_bytes);
+    agg.gauge_max("sim.shard.count", static_cast<double>(num_shards()));
+    agg.gauge_max("sim.shard.lookahead_us", static_cast<double>(lookahead_));
+    agg.gauge_max("sim.shard.busy_ms", result.shard_busy_ms);
+    agg.gauge_max("sim.shard.barrier_wait_ms", result.shard_barrier_wait_ms);
+  }
+
+ private:
+  std::optional<sim::Simulator> sim_;
+  std::optional<sim::ShardedSimulator> world_;
+  SimTime lookahead_ = 0;
+};
+
+/// One delivery, as the run-wide accumulators consume it.
+struct Delivery {
+  SimTime at = 0;
+  NodeId node = kInvalidNode;
+  std::uint32_t seq = 0;
+  SimTime latency = 0;
+  bool on_topic = true;
+  bool origin = false;
+};
+
+/// A multicast awaiting garbage collection.
+struct ActiveMsg {
+  SimTime at = 0;
+  std::uint32_t seq = 0;
+  MsgId id{};
+};
+
+/// Everything a node's callbacks mutate, one per shard so shard workers
+/// never share it. shards == 1 is the one-element case.
+struct Shard {
+  explicit Shard(SimTime warmup) : goodput(warmup) {}
+
+  sim::Simulator* sim = nullptr;
+  /// Private on-demand path replica and its latency view: latency()
+  /// mutates the LRU row cache, so each shard worker reads its own copy
+  /// (identical answers, separate caches). Empty = the run-wide model.
+  std::unique_ptr<net::PathModel> paths;
+  std::optional<net::PathLatencyModel> latency;
+  std::optional<core::OracleLatencyMonitor> oracle_monitor;
+  /// Message intern table. MsgIds are global, interned MsgKeys are
+  /// shard-local — nothing ever compares keys across shards.
+  core::MessageArena arena;
+  obs::GoodputTracker goodput;
+  std::vector<std::uint32_t> payload_tx;  // payload sends per message seq
+  /// Sharded only: deliveries logged here and replayed after the run in
+  /// (time, node) order; shards == 1 accumulates them as they happen.
+  std::vector<Delivery> deliveries;
+  std::deque<ActiveMsg> active;
+};
+
+/// One experiment: the stages every shard count runs, in order. The
+/// stages preserve both engines' RNG split order and scheduling order
+/// exactly, because the goldens pin them.
+class Assembly {
+ public:
+  explicit Assembly(const ExperimentConfig& config)
+      : config_(config), root_(config.seed), engine_(config.shards) {}
+  // Node and timer callbacks hold `this`.
+  Assembly(const Assembly&) = delete;
+  Assembly& operator=(const Assembly&) = delete;
+
+  ExperimentResult run() {
+    build_world();
+    build_nodes();
+    wire_listeners();
+    bootstrap_and_warm_up();
+    schedule_traffic();
+    execute();
+    return finalize();
+  }
+
+ private:
   struct MsgRecord {
     std::uint32_t deliveries = 0;
     /// Nodes alive when the message was multicast (the reliability
@@ -390,130 +446,327 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     std::uint32_t live_at_send = 0;
     stats::RunningStat latency_ms;  // non-origin deliveries
   };
-  std::vector<MsgRecord> messages(num_messages);
-  stats::Samples all_latency_ms;
-  std::vector<std::uint32_t> payload_tx_per_message(num_messages, 0);
-  // Topic scoping: per-message topic tag and per-topic membership bitsets.
-  // A delivery at a non-member node is a protocol-level relay, not a
-  // useful delivery — it stays out of reliability/latency/goodput.
-  std::vector<std::uint32_t> msg_topic(
-      use_workload ? num_messages : 0, load::kNoTopic);
-  std::vector<compact::DynamicBitset> topic_member(plan.topic_members.size());
-  for (std::size_t t = 0; t < plan.topic_members.size(); ++t) {
-    for (const NodeId m : plan.topic_members[t]) topic_member[t].set(m);
-  }
-  if (use_workload) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      msg_topic[i] = plan.arrivals[i].topic;
-    }
-  }
-  // Goodput/saturation accounting (always on: plain counters, no RNG
-  // draws, no events — legacy runs get the metrics for free).
-  obs::GoodputTracker goodput(config.warmup);
-  std::uint64_t offtopic_deliveries = 0;
-  ESM_CHECK(!(config.collect_tree_stats && config.trace_sink != nullptr),
-            "tree stats need the buffered trace; incompatible with a stream "
-            "sink");
-  std::shared_ptr<trace::TraceLog> trace_log =
-      (config.collect_trace || config.collect_tree_stats ||
-       config.trace_sink != nullptr)
-          ? std::make_shared<trace::TraceLog>()
-          : nullptr;
-  if (trace_log && config.trace_sink != nullptr) {
-    trace_log->stream_to(*config.trace_sink);
-  }
-  // Delivery attribution for tree reconstruction: per-directed-link FIFO
-  // queues match each accepted payload packet back to the send that
-  // produced it (stamping its receive time on the trace row), and
-  // last_accept remembers which sender's payload delivered each message at
-  // each node — the node's parent in the dissemination tree. Pure
-  // observation: no RNG draws, no protocol effect, zero cost without a
-  // trace.
   struct InFlightPayload {
     std::uint32_t seq = 0;
     SimTime sent = 0;
     trace::TraceLog::PayloadHandle handle = trace::TraceLog::kNoHandle;
     bool eager = false;
   };
-  compact::FlatMap<std::uint64_t, std::deque<InFlightPayload>> in_flight;
   struct LastAccept {
     MsgId id{};
     NodeId from = kInvalidNode;
     bool eager = true;
   };
-  std::vector<LastAccept> last_accept(trace_log ? config.num_nodes : 0);
-  // Per-phase windowed metrics; only scenario runs pay for the tracking.
-  stats::PhaseWindows phase_windows(config.warmup);
-  stats::PhaseWindows* const pw =
-      config.scenario.empty() ? nullptr : &phase_windows;
-  // Run-wide message intern table + canonical payload store, shared by
-  // every node's scheduler and gossip layer (see core/msg_arena.hpp).
-  // Declared before the tracker so the tracker can key episodes by the
-  // same interned message keys.
-  core::MessageArena msg_arena;
-  msg_arena.reserve(num_messages);
-  // Observability: metrics registries + message-lifecycle tracker, wired
-  // into the protocol layers' observation hooks. Only metrics runs pay.
-  std::shared_ptr<obs::RunMetrics> run_metrics =
-      config.collect_metrics ? std::make_shared<obs::RunMetrics>() : nullptr;
-  std::optional<obs::LifecycleTracker> tracker;
-  if (run_metrics) {
-    tracker.emplace(sim, config.num_nodes, *run_metrics, &msg_arena);
-  }
-  obs::LifecycleTracker* const trk = tracker ? &*tracker : nullptr;
-  if (trk) {
-    transport.set_drop_listener(
-        [trk](NodeId src, NodeId dst, bool is_payload,
-              net::Transport::DropReason reason) {
-          trk->on_drop(src, dst, is_payload, reason);
-        });
-  }
 
-  std::vector<std::unique_ptr<NodeStack>> nodes;
-  nodes.reserve(config.num_nodes);
+  void build_world();
+  void build_nodes();
+  void wire_listeners();
+  void bootstrap_and_warm_up();
+  void schedule_traffic();
+  void execute();
+  ExperimentResult finalize();
 
-  // Oracle closeness seeds for the gossip-rank estimator (higher = closer
-  // to everyone = better node). Reuses the closeness pass from section 1;
-  // runs without gossip rank skip it entirely.
-  std::vector<double> closeness_score(config.num_nodes, 0.0);
-  if (use_gossip_rank) {
-    for (NodeId n = 0; n < config.num_nodes; ++n) {
-      closeness_score[n] = -closeness_sums[n];
+  Shard& shard_of(NodeId node) { return shards_[engine_.shard_of(node)]; }
+  void on_deliver(NodeId id, const core::AppMessage& msg);
+  void count_delivery(const Delivery& d);
+  void on_payload_sent(NodeId id, const core::AppMessage& msg, NodeId dst,
+                       bool eager);
+  void on_accept(NodeId id, NodeId src, const core::AppMessage& msg,
+                 bool duplicate);
+  std::pair<NodeId, std::uint32_t> resolve_sender(std::uint32_t i,
+                                                  NodeId planned) const;
+  void multicast(std::uint32_t i, NodeId sender, std::uint32_t audience);
+  void rejoin_overlay(NodeId back, Rng& rng);
+  void churn_tick();
+  void set_churn_rate(double rate);
+  void gc_tick();
+
+  const ExperimentConfig& config_;
+  const Rng root_;
+
+  // World: workload plan, underlay, ranking, engine, transport.
+  load::WorkloadPlan plan_;
+  bool use_workload_ = false;
+  std::uint32_t num_messages_ = 0;
+  SimTime effective_interval_ = 0;  // mean multicast spacing
+  net::Topology topo_;
+  std::unique_ptr<net::PathModel> path_model_;
+  std::optional<net::PathLatencyModel> latency_;
+  bool needs_best_ = false;
+  std::vector<double> closeness_sums_;
+  std::vector<NodeId> closeness_order_;
+  std::vector<NodeId> oracle_best_;
+  Engine engine_;
+  std::deque<Shard> shards_;
+  const wire::WireCodec wire_codec_;
+  std::optional<net::Transport> transport_;
+  std::optional<core::DistanceMonitor> distance_monitor_;
+  std::optional<core::StaticBestSet> static_best_;
+  overlay::CsrAdjacency static_adj_;  // samplers borrow their rows
+  std::shared_ptr<core::NoiseCalibration> noise_calibration_;
+  bool wrap_noise_ = false;
+
+  // Run-wide accounting and observation (trace, phase windows and the
+  // lifecycle tracker exist only at shards == 1; the gates see to that).
+  std::vector<MsgRecord> messages_;
+  stats::Samples all_latency_ms_;
+  std::uint64_t offtopic_deliveries_ = 0;
+  std::vector<std::uint32_t> msg_topic_;
+  std::vector<compact::DynamicBitset> topic_member_;
+  std::shared_ptr<trace::TraceLog> trace_log_;
+  compact::FlatMap<std::uint64_t, std::deque<InFlightPayload>> in_flight_;
+  std::vector<LastAccept> last_accept_;
+  std::optional<stats::PhaseWindows> phase_windows_;
+  stats::PhaseWindows* pw_ = nullptr;
+  std::shared_ptr<obs::RunMetrics> run_metrics_;
+  std::optional<obs::LifecycleTracker> tracker_;
+  obs::LifecycleTracker* trk_ = nullptr;
+  std::vector<std::unique_ptr<NodeStack>> nodes_;
+
+  // Failures and traffic.
+  std::vector<bool> dead_;
+  std::vector<NodeId> live_;
+  Rng churn_rng_;
+  std::vector<NodeId> churn_dead_;
+  std::optional<sim::PeriodicTimer> churn_timer_;
+  Rng rejoin_rng_;
+  std::optional<fault::FaultInjector> injector_;
+  SimTime last_send_ = 0;
+  std::uint64_t gc_collected_ = 0;
+  std::optional<sim::PeriodicTimer> gc_timer_;
+  std::uint64_t peak_simultaneous_ = 0;
+  std::optional<sim::PeriodicTimer> census_timer_;
+};
+
+// --- 1. World: workload plan, underlay, routing, ranking, transport ------
+
+void Assembly::build_world() {
+  const std::string gate = shard_gate_error(config_);
+  ESM_CHECK(gate.empty(), gate.c_str());
+  ESM_CHECK(config_.num_nodes >= 2, "need at least two nodes");
+  ESM_CHECK(config_.kill_fraction >= 0.0 && config_.kill_fraction < 1.0,
+            "kill fraction must be in [0, 1)");
+  config_.scenario.validate(config_.num_nodes);
+  const std::uint32_t n = config_.num_nodes;
+
+  // Heavy-traffic workload: resolve the whole arrival plan up front from
+  // a dedicated RNG split. split() is const, so legacy runs (empty
+  // workload) draw exactly the same sequences as before this subsystem
+  // existed — the golden fingerprints pin that.
+  use_workload_ = !config_.workload.empty();
+  if (use_workload_) {
+    plan_ = load::build_plan(config_.workload, n,
+                             root_.split(0x776b6c64ULL));  // "wkld"
+    ESM_CHECK(!plan_.arrivals.empty(),
+              "workload generated no arrivals (rate * duration too small)");
+  }
+  num_messages_ = use_workload_ ? static_cast<std::uint32_t>(plan_.size())
+                                : config_.num_messages;
+  effective_interval_ =
+      use_workload_
+          ? config_.workload.duration / static_cast<SimTime>(plan_.size())
+          : config_.mean_interval;
+
+  net::TopologyParams topo_params = config_.topology;
+  topo_params.num_clients = n;
+  topo_ = generate_topology(topo_params, config_.seed);
+  // Pairwise path metrics: dense matrix for small N, memory-bounded
+  // on-demand rows above the cutover (or whatever the config forces).
+  path_model_ =
+      net::make_path_model(topo_, config_.path_model, config_.path_cache_bytes);
+  const net::PathModel& metrics = *path_model_;
+  latency_.emplace(metrics);
+  const bool replicate_paths =
+      engine_.sharded() && net::resolve_path_model(config_.path_model, n) ==
+                               net::PathModelKind::ondemand;
+  for (std::uint32_t s = 0; s < engine_.num_shards(); ++s) {
+    Shard& shard = shards_.emplace_back(config_.warmup);
+    shard.sim = &engine_.shard(s);
+    if (replicate_paths) {
+      shard.paths = net::make_path_model(topo_, config_.path_model,
+                                         config_.path_cache_bytes);
+      shard.latency.emplace(*shard.paths);
     }
   }
 
-  // Fixed symmetric neighbor sets, when requested — compressed to one
-  // shared CSR structure; samplers borrow their row instead of copying it.
-  overlay::CsrAdjacency static_adj;
-  if (config.overlay_kind == OverlayKind::static_random) {
-    static_adj = overlay::CsrAdjacency::from_lists(
-        overlay::build_symmetric_overlay(config.num_nodes,
-                                         config.overlay.view_size,
-                                         root.split(0x73746174ULL)));
+  needs_best_ = config_.strategy.kind == StrategyKind::ranked ||
+                config_.strategy.kind == StrategyKind::hybrid;
+  // The oracle closeness ranking costs O(N²) point queries, so it is only
+  // computed when something consumes it: a ranked/hybrid best set, a
+  // best-ranked kill list, or a fault scenario (whose crash-best events
+  // address nodes by rank).
+  const bool needs_closeness =
+      needs_best_ ||
+      (config_.kill_fraction > 0.0 &&
+       config_.kill_mode == KillMode::best_ranked) ||
+      !config_.scenario.empty() ||
+      // Tree stats compare interior-node concentration against the
+      // capacity ranking even for unranked strategies.
+      config_.collect_tree_stats;
+  if (needs_closeness) {
+    closeness_sums_ = metrics.closeness_sums();
+    closeness_order_ = order_by_closeness_sums(closeness_sums_);
+  }
+  if (needs_best_) {
+    const auto num_best = static_cast<std::uint32_t>(std::lround(
+        config_.strategy.best_fraction * static_cast<double>(n)));
+    oracle_best_.assign(closeness_order_.begin(),
+                        closeness_order_.begin() +
+                            std::min<std::uint32_t>(num_best, n));
   }
 
+  net::TransportOptions topts;
+  topts.loss_rate = config_.loss_rate;
+  topts.bandwidth_bps = config_.bandwidth_bps;
+  topts.jitter = config_.jitter;
+  topts.egress_buffer_bytes = config_.egress_buffer_bytes;
+  topts.purge_policy = config_.purge_policy;
+  if (config_.backpressure && config_.egress_buffer_bytes > 0) {
+    topts.high_watermark = config_.bp_high_watermark;
+    topts.low_watermark = config_.bp_low_watermark;
+  }
+  if (config_.slow_fraction > 0.0) {
+    topts.node_bandwidth_bps.assign(n, config_.bandwidth_bps);
+    std::vector<NodeId> everyone(n);
+    std::iota(everyone.begin(), everyone.end(), 0);
+    Rng slow_rng = root_.split(0x736c6f77ULL);
+    const auto num_slow = static_cast<std::uint32_t>(
+        std::lround(config_.slow_fraction * static_cast<double>(n)));
+    for (const NodeId s : slow_rng.sample(everyone, num_slow)) {
+      topts.node_bandwidth_bps[s] = config_.slow_bandwidth_bps;
+    }
+  }
+  if (config_.use_wire_codec) topts.codec = &wire_codec_;
+  // Sharded, the constructor's simulator is only the unsharded fallback:
+  // bind() switches every per-node schedule to the shard simulators and
+  // splits the transport's accounting and RNG per shard/node.
+  transport_.emplace(engine_.shard(0), *latency_, n, topts,
+                     root_.split(0x7472616eULL));
+  std::vector<const net::LatencyModel*> shard_latency;
+  for (Shard& shard : shards_) {
+    if (shard.latency) shard_latency.push_back(&*shard.latency);
+    // Radius/hybrid metric() queries run on the shard's thread, so each
+    // shard's nodes read a monitor over that shard's latency view.
+    shard.oracle_monitor.emplace(shard.latency ? *shard.latency : *latency_);
+  }
+  engine_.bind(*transport_, metrics, config_.jitter, std::move(shard_latency));
+
+  distance_monitor_.emplace(topo_.client_coords);
+  static_best_.emplace(oracle_best_);
+  // One system-wide noise calibration (paper §4.3: a single constant c).
+  // Strategies are also wrapped (at zero noise, an exact identity) when a
+  // scenario ramps noise mid-run, so the injector has a knob to turn.
+  wrap_noise_ =
+      config_.strategy.noise > 0.0 || config_.scenario.has_noise_events();
+  if (wrap_noise_) {
+    noise_calibration_ = std::make_shared<core::NoiseCalibration>();
+  }
+}
+
+// --- 2. Per-node stacks ---------------------------------------------------
+
+void Assembly::build_nodes() {
+  const std::uint32_t n = config_.num_nodes;
+  messages_.resize(num_messages_);
+  for (Shard& shard : shards_) {
+    shard.arena.reserve(num_messages_);
+    shard.payload_tx.assign(num_messages_, 0);
+  }
+  // Topic scoping: per-message topic tag and per-topic membership bitsets.
+  // A delivery at a non-member node is a protocol-level relay, not a
+  // useful delivery — it stays out of reliability/latency/goodput.
+  msg_topic_.assign(use_workload_ ? num_messages_ : 0, load::kNoTopic);
+  topic_member_.resize(plan_.topic_members.size());
+  for (std::size_t t = 0; t < plan_.topic_members.size(); ++t) {
+    for (const NodeId m : plan_.topic_members[t]) topic_member_[t].set(m);
+  }
+  for (std::uint32_t i = 0; i < msg_topic_.size(); ++i) {
+    msg_topic_[i] = plan_.arrivals[i].topic;
+  }
+  ESM_CHECK(!(config_.collect_tree_stats && config_.trace_sink != nullptr),
+            "tree stats need the buffered trace; incompatible with a stream "
+            "sink");
+  if (config_.collect_trace || config_.collect_tree_stats ||
+      config_.trace_sink != nullptr) {
+    trace_log_ = std::make_shared<trace::TraceLog>();
+    if (config_.trace_sink != nullptr) {
+      trace_log_->stream_to(*config_.trace_sink);
+    }
+    // Delivery attribution for tree reconstruction: last_accept_
+    // remembers which sender's payload delivered each message at each
+    // node — the node's parent in the dissemination tree.
+    last_accept_.resize(n);
+  }
+  // Per-phase windowed metrics; only scenario runs pay for the tracking.
+  if (!config_.scenario.empty()) {
+    pw_ = &phase_windows_.emplace(config_.warmup);
+  }
+  // Observability: metrics registries + message-lifecycle tracker, wired
+  // into the protocol layers' observation hooks. Only metrics runs pay;
+  // sharded runs export just the sim.shard.* execution block.
+  if (config_.collect_metrics) {
+    run_metrics_ = std::make_shared<obs::RunMetrics>();
+    if (!engine_.sharded()) {
+      trk_ = &tracker_.emplace(engine_.shard(0), n, *run_metrics_,
+                               &shards_.front().arena);
+    }
+  }
+
+  const bool needs_monitor = config_.strategy.kind == StrategyKind::radius ||
+                             config_.strategy.kind == StrategyKind::hybrid;
+  // Oracle closeness seeds for the gossip-rank estimator (higher = closer
+  // to everyone = better node). Reuses the closeness pass of the world
+  // stage; runs without gossip rank skip it entirely.
+  const bool use_gossip_rank =
+      needs_best_ && config_.strategy.use_gossip_rank;
+  std::vector<double> closeness_score(n, 0.0);
+  if (use_gossip_rank) {
+    for (NodeId id = 0; id < n; ++id) {
+      closeness_score[id] = -closeness_sums_[id];
+    }
+  }
+  // Fixed symmetric neighbor sets, when requested — compressed to one
+  // shared CSR structure; samplers borrow their row instead of copying it.
+  if (config_.overlay_kind == OverlayKind::static_random) {
+    static_adj_ = overlay::CsrAdjacency::from_lists(
+        overlay::build_symmetric_overlay(n, config_.overlay.view_size,
+                                         root_.split(0x73746174ULL)));
+  }
   // Pre-size per-node tables for the concurrently-tracked message window:
   // with GC, roughly lifetime / mean-interval messages are live at once;
   // without GC every message stays tracked. Pre-reserving keeps steady-
   // state runs from rehashing mid-measurement.
   const std::size_t expected_window =
-      config.message_lifetime > 0 && effective_interval > 0
+      config_.message_lifetime > 0 && effective_interval_ > 0
           ? std::min<std::size_t>(
-                num_messages,
-                static_cast<std::size_t>(config.message_lifetime /
-                                         effective_interval) +
+                num_messages_,
+                static_cast<std::size_t>(config_.message_lifetime /
+                                         effective_interval_) +
                     16)
-          : num_messages;
+          : num_messages_;
+  // Adaptive fanout scales by provisioned bandwidth, mean preserved.
+  double mean_bw = 0.0;
+  if (config_.adaptive_fanout) {
+    for (NodeId id = 0; id < n; ++id) {
+      mean_bw += static_cast<double>(transport_->node_bandwidth(id));
+    }
+    mean_bw /= static_cast<double>(n);
+  }
 
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
+  net::Transport& transport = *transport_;
+  nodes_.reserve(n);
+  for (NodeId id = 0; id < n; ++id) {
     auto stack = std::make_unique<NodeStack>();
-    Rng node_rng = root.split(0x100000ULL + id);
+    Rng node_rng = root_.split(0x100000ULL + id);
+    // Everything this node schedules lives on its shard's simulator.
+    sim::Simulator& sim = engine_.sim_for(id);
+    Shard& shard = shard_of(id);
 
-    switch (config.overlay_kind) {
+    switch (config_.overlay_kind) {
       case OverlayKind::static_random:
         stack->static_sampler =
             std::make_unique<overlay::StaticNeighborSampler>(
-                static_adj, id, node_rng.split(1));
+                static_adj_, id, node_rng.split(1));
         stack->sampler = stack->static_sampler.get();
         break;
       case OverlayKind::oracle:
@@ -524,7 +777,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         break;
       case OverlayKind::hyparview: {
         overlay::HyParViewParams hpv;
-        hpv.active_size = config.overlay.view_size;
+        hpv.active_size = config_.overlay.view_size;
         stack->hyparview = std::make_unique<overlay::HyParViewNode>(
             sim, transport, id, hpv, node_rng.split(1));
         stack->sampler = stack->hyparview.get();
@@ -532,8 +785,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
       case OverlayKind::neem: {
         overlay::NeemParams np;
-        np.target_degree = config.overlay.view_size;
-        np.max_degree = config.overlay.view_size + config.overlay.view_size / 3;
+        np.target_degree = config_.overlay.view_size;
+        np.max_degree =
+            config_.overlay.view_size + config_.overlay.view_size / 3;
         stack->neem = std::make_unique<overlay::NeemNode>(
             sim, transport, id, np, node_rng.split(1));
         stack->sampler = stack->neem.get();
@@ -541,19 +795,19 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
       case OverlayKind::cyclon:
         stack->cyclon = std::make_unique<overlay::CyclonNode>(
-            sim, transport, id, config.overlay, node_rng.split(1));
+            sim, transport, id, config_.overlay, node_rng.split(1));
         stack->sampler = stack->cyclon.get();
         break;
     }
 
     const core::PerformanceMonitor* monitor = nullptr;
     if (needs_monitor) {
-      switch (config.strategy.monitor) {
+      switch (config_.strategy.monitor) {
         case MonitorKind::oracle_latency:
-          monitor = &oracle_monitor;
+          monitor = &*shard.oracle_monitor;
           break;
         case MonitorKind::distance:
-          monitor = &distance_monitor;
+          monitor = &*distance_monitor_;
           break;
         case MonitorKind::ping:
           stack->ping = std::make_unique<core::PingMonitor>(
@@ -569,24 +823,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
 
     const core::BestSet* best = nullptr;
-    if (needs_best) {
+    if (needs_best_) {
       if (use_gossip_rank) {
         stack->rank_estimator = std::make_unique<rank::GossipRankEstimator>(
             sim, transport, id, *stack->sampler, closeness_score[id],
-            config.strategy.best_fraction, rank::RankParams{},
+            config_.strategy.best_fraction, rank::RankParams{},
             node_rng.split(3));
         best = stack->rank_estimator.get();
       } else {
-        best = &static_best;
+        best = &*static_best_;
       }
     }
 
     stack->strategy =
-        make_strategy(config, id, monitor, best, node_rng.split(4));
-    if (wrap_noise) {
+        make_strategy(config_, id, monitor, best, node_rng.split(4));
+    if (wrap_noise_) {
       auto noisy = std::make_unique<core::NoisyStrategy>(
-          std::move(stack->strategy), config.strategy.noise,
-          noise_calibration, node_rng.split(5));
+          std::move(stack->strategy), config_.strategy.noise,
+          noise_calibration_, node_rng.split(5));
       stack->noisy = noisy.get();
       stack->strategy = std::move(noisy);
     }
@@ -597,23 +851,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         [raw](const core::AppMessage& msg, Round round, NodeId src) {
           raw->gossip->l_receive(msg, round, src);
         },
-        &msg_arena);
+        &shard.arena);
     stack->scheduler->reserve(expected_window);
-    stack->scheduler->set_ihave_batch_window(config.ihave_batch_window);
-    stack->scheduler->set_pull_order(config.pull_sched);
-    if (config.backpressure) {
+    stack->scheduler->set_ihave_batch_window(config_.ihave_batch_window);
+    stack->scheduler->set_pull_order(config_.pull_sched);
+    if (config_.backpressure) {
       core::PayloadScheduler::BackpressureConfig bp;
       bp.enabled = true;
-      bp.max_replies_per_dst = config.bp_max_replies_per_dst;
-      bp.readvertise_delay = config.retransmission_period;
+      bp.max_replies_per_dst = config_.bp_max_replies_per_dst;
+      bp.readvertise_delay = config_.retransmission_period;
       stack->scheduler->set_backpressure(bp);
+      obs::GoodputTracker* const goodput = &shard.goodput;
       stack->scheduler->set_backpressure_listener(
-          [&goodput](core::PayloadScheduler::BpEvent event) {
+          [goodput](core::PayloadScheduler::BpEvent event) {
             if (event == core::PayloadScheduler::BpEvent::kEagerDeferred) {
-              goodput.on_defer();
+              goodput->on_defer();
             } else if (event ==
                        core::PayloadScheduler::BpEvent::kDropReadvertised) {
-              goodput.on_drop_recovery();
+              goodput->on_drop_recovery();
             }
           });
     }
@@ -624,137 +879,55 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
             piggyback->observe(peer, rtt);
           });
     }
-    if (trk) {
+    if (trk_) {
+      obs::LifecycleTracker* const trk = trk_;
       stack->scheduler->set_lazy_listener(
           [trk, id](const MsgId& mid, core::PayloadScheduler::LazyEvent event,
                     NodeId peer) { trk->on_lazy_event(id, mid, event, peer); });
     }
     stack->scheduler->set_send_listener(
-        [&payload_tx_per_message, trace_log, pw, id, &sim, &in_flight,
-         &goodput](const core::AppMessage& msg, NodeId dst, bool eager) {
-          if (msg.seq < payload_tx_per_message.size()) {
-            ++payload_tx_per_message[msg.seq];
-          }
-          goodput.on_payload();
-          if (pw) pw->on_payload(id, dst);
-          if (trace_log) {
-            const auto handle = trace_log->record_payload(
-                {sim.now(), id, dst, msg.seq, eager});
-            const std::uint64_t link =
-                (static_cast<std::uint64_t>(id) << 32) | dst;
-            in_flight[link].push_back({msg.seq, sim.now(), handle, eager});
-          }
+        [this, id](const core::AppMessage& msg, NodeId dst, bool eager) {
+          on_payload_sent(id, msg, dst, eager);
         });
-    if (trace_log) {
+    if (trace_log_) {
       stack->scheduler->set_accept_listener(
-          [trace_log, &in_flight, &last_accept, id, &sim](
-              NodeId src, const core::AppMessage& msg, bool duplicate) {
-            const std::uint64_t link =
-                (static_cast<std::uint64_t>(src) << 32) | id;
-            bool eager = true;
-            if (auto* queue = in_flight.find(link)) {
-              // Entries older than any plausible one-way delay belong to
-              // lost packets; drop them so the scan stays bounded.
-              constexpr SimTime kLostAfter = 30 * kSecond;
-              while (!queue->empty() &&
-                     queue->front().sent + kLostAfter < sim.now()) {
-                queue->pop_front();
-              }
-              for (auto q = queue->begin(); q != queue->end(); ++q) {
-                if (q->seq == msg.seq) {
-                  trace_log->set_payload_recv(q->handle, sim.now());
-                  eager = q->eager;
-                  queue->erase(q);
-                  break;
-                }
-              }
-              if (queue->empty()) in_flight.erase(link);
-            }
-            if (!duplicate) last_accept[id] = {msg.id, src, eager};
+          [this, id](NodeId src, const core::AppMessage& msg, bool duplicate) {
+            on_accept(id, src, msg, duplicate);
           });
     }
 
-    core::GossipParams gossip_params = config.gossip;
-    if (config.adaptive_fanout) {
-      // Fanout proportional to provisioned bandwidth, mean preserved.
-      double mean_bw = 0.0;
-      for (NodeId n = 0; n < config.num_nodes; ++n) {
-        mean_bw += static_cast<double>(transport.node_bandwidth(n));
-      }
-      mean_bw /= static_cast<double>(config.num_nodes);
-      if (mean_bw > 0.0) {
-        const double scaled =
-            static_cast<double>(config.gossip.fanout) *
-            static_cast<double>(transport.node_bandwidth(id)) / mean_bw;
-        gossip_params.fanout = static_cast<std::uint32_t>(std::clamp(
-            std::lround(scaled), 3L,
-            2L * static_cast<long>(config.gossip.fanout)));
-      }
+    core::GossipParams gossip_params = config_.gossip;
+    if (mean_bw > 0.0) {
+      const double scaled =
+          static_cast<double>(config_.gossip.fanout) *
+          static_cast<double>(transport.node_bandwidth(id)) / mean_bw;
+      gossip_params.fanout = static_cast<std::uint32_t>(
+          std::clamp(std::lround(scaled), 3L,
+                     2L * static_cast<long>(config_.gossip.fanout)));
     }
     stack->gossip = std::make_unique<core::GossipNode>(
         id, gossip_params, *stack->sampler, *stack->scheduler,
-        [&messages, &all_latency_ms, &sim, id, trace_log, pw, trk,
-         &last_accept, &msg_topic, &topic_member, &goodput,
-         &offtopic_deliveries](const core::AppMessage& msg) {
-          // Topic gate: a delivery at a node outside the message's topic
-          // is protocol relay traffic. It still feeds the lifecycle
-          // tracker and the trace (the packet really arrived), but stays
-          // out of reliability, latency, phase windows and goodput.
-          const std::uint32_t topic =
-              msg.seq < msg_topic.size() ? msg_topic[msg.seq]
-                                         : load::kNoTopic;
-          const bool on_topic =
-              topic == load::kNoTopic || topic_member[topic].test(id);
-          const double ms = to_ms(sim.now() - msg.multicast_time);
-          if (on_topic) {
-            MsgRecord& rec = messages.at(msg.seq);
-            ++rec.deliveries;
-            if (msg.origin != id) {
-              rec.latency_ms.add(ms);
-              all_latency_ms.add(ms);
-            }
-            if (pw) pw->on_delivery(msg.seq, ms, msg.origin == id);
-            goodput.on_delivery(sim.now());
-          } else {
-            ++offtopic_deliveries;
-          }
-          if (trk) {
-            trk->on_delivery(id, msg.id, sim.now() - msg.multicast_time);
-          }
-          if (trace_log) {
-            // The payload that delivered here was matched by the accept
-            // listener synchronously upstream of this callback; the origin
-            // delivers its own multicast (parent = itself, "eager").
-            NodeId from = id;
-            bool eager = true;
-            if (msg.origin != id) {
-              const LastAccept& acc = last_accept[id];
-              if (acc.id == msg.id) {
-                from = acc.from;
-                eager = acc.eager;
-              } else {
-                from = kInvalidNode;
-              }
-            }
-            trace_log->record_delivery({sim.now(), id, msg.origin, msg.seq,
-                                        sim.now() - msg.multicast_time, from,
-                                        eager});
-          }
-        },
+        [this, id](const core::AppMessage& msg) { on_deliver(id, msg); },
         node_rng.split(6));
-    if (trk) {
+    if (trk_) {
+      obs::LifecycleTracker* const trk = trk_;
       stack->gossip->set_relay_listener(
           [trk, id](const MsgId&, Round, std::size_t relayed_to) {
             trk->on_relay(id, relayed_to);
           });
     }
 
-    nodes.push_back(std::move(stack));
+    nodes_.push_back(std::move(stack));
   }
+}
 
+// --- 3. Listeners: packet mux, backpressure loop, drop observation -------
+
+void Assembly::wire_listeners() {
+  net::Transport& transport = *transport_;
   // Packet mux: overlay -> ping -> rank -> scheduler.
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    NodeStack* stack = nodes[id].get();
+  for (NodeId id = 0; id < config_.num_nodes; ++id) {
+    NodeStack* stack = nodes_[id].get();
     transport.register_handler(
         id, [stack](NodeId src, const net::PacketPtr& packet) {
           if (stack->cyclon && stack->cyclon->handle_packet(src, packet)) return;
@@ -776,107 +949,114 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // scheduler's congestion flag (the low-watermark edge also flushes its
   // deferred work), and purged packets re-enter the owning scheduler's
   // advertise path. Installed only when enabled, so legacy runs keep the
-  // listener-free fast path.
-  if (config.backpressure && config.egress_buffer_bytes > 0) {
-    transport.set_watermark_listener(
-        [&nodes, &goodput, &sim](NodeId src, bool above_high) {
-          goodput.on_watermark(sim.now(), above_high);
-          nodes[src]->scheduler->set_congested(above_high);
-        });
+  // listener-free fast path. Both fire on the *source* node's shard
+  // (send/drain/purge are source-side), so touching the source's shard
+  // state and scheduler is race-free.
+  if (config_.backpressure && config_.egress_buffer_bytes > 0) {
+    transport.set_watermark_listener([this](NodeId src, bool above_high) {
+      Shard& shard = shard_of(src);
+      shard.goodput.on_watermark(shard.sim->now(), above_high);
+      nodes_[src]->scheduler->set_congested(above_high);
+    });
     transport.set_purge_listener(
-        [&nodes](NodeId src, NodeId dst, const net::PacketPtr& packet,
-                 bool /*is_payload*/) {
-          nodes[src]->scheduler->on_egress_purge(dst, *packet);
+        [this](NodeId src, NodeId dst, const net::PacketPtr& packet,
+               bool /*is_payload*/) {
+          nodes_[src]->scheduler->on_egress_purge(dst, *packet);
         });
   }
+  if (trk_) {
+    obs::LifecycleTracker* const trk = trk_;
+    transport.set_drop_listener(
+        [trk](NodeId src, NodeId dst, bool is_payload,
+              net::Transport::DropReason reason) {
+          trk->on_drop(src, dst, is_payload, reason);
+        });
+  }
+}
 
-  // --- 3. Bootstrap + warm-up ------------------------------------------------
-  if (config.overlay_kind == OverlayKind::cyclon) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < config.overlay.view_size &&
-             contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
+// --- 4. Bootstrap, warm-up and failure injection --------------------------
+
+void Assembly::bootstrap_and_warm_up() {
+  const std::uint32_t n = config_.num_nodes;
+  Rng boot = root_.split(0x626f6f74ULL);
+  const auto random_contacts = [&boot, n](NodeId id, std::size_t want) {
+    std::vector<NodeId> contacts;
+    while (contacts.size() < want && contacts.size() + 1 < n) {
+      const NodeId c = static_cast<NodeId>(boot.below(n));
+      if (c != id &&
+          std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
+        contacts.push_back(c);
       }
-      nodes[id]->cyclon->bootstrap(contacts);
-      nodes[id]->cyclon->start();
     }
-  } else if (config.overlay_kind == OverlayKind::neem) {
-    // Each node bootstraps toward a few random contacts; shuffles then mix
-    // the connection graph toward the target degree.
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < 5 && contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
-      }
-      nodes[id]->neem->bootstrap(contacts);
-      nodes[id]->neem->start();
-    }
-  } else if (config.overlay_kind == OverlayKind::hyparview) {
-    // Staggered joins, each through a random already-joined contact.
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      nodes[id]->hyparview->start();
+    return contacts;
+  };
+  for (NodeId id = 0; id < n; ++id) {
+    NodeStack& node = *nodes_[id];
+    if (node.cyclon) {
+      node.cyclon->bootstrap(random_contacts(id, config_.overlay.view_size));
+      node.cyclon->start();
+    } else if (node.neem) {
+      // A few random contacts; shuffles then mix the connection graph
+      // toward the target degree.
+      node.neem->bootstrap(random_contacts(id, 5));
+      node.neem->start();
+    } else if (node.hyparview) {
+      // Staggered joins, each through a random already-joined contact.
+      node.hyparview->start();
       if (id == 0) continue;
       const NodeId contact = static_cast<NodeId>(boot.below(id));
       const SimTime when = 50 * kMillisecond * id;
-      ESM_CHECK(when < config.warmup, "warmup too short for staggered joins");
-      overlay::HyParViewNode* hpv = nodes[id]->hyparview.get();
-      sim.schedule_at(when, [hpv, contact] { hpv->join(contact); });
+      ESM_CHECK(when < config_.warmup, "warmup too short for staggered joins");
+      overlay::HyParViewNode* hpv = node.hyparview.get();
+      engine_.sim_for(id).schedule_at(when,
+                                      [hpv, contact] { hpv->join(contact); });
     }
   }
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    if (nodes[id]->ping) nodes[id]->ping->start();
-    if (nodes[id]->rank_estimator) nodes[id]->rank_estimator->start();
+  for (const auto& node : nodes_) {
+    if (node->ping) node->ping->start();
+    if (node->rank_estimator) node->rank_estimator->start();
   }
-  sim.run_until(config.warmup);
+  engine_.run_until(config_.warmup);
 
-  // --- 4. Failure injection ---------------------------------------------------
-  std::vector<bool> dead(config.num_nodes, false);
-  const auto num_kill = static_cast<std::uint32_t>(std::lround(
-      config.kill_fraction * static_cast<double>(config.num_nodes)));
-  if (num_kill > 0 && config.kill_mode != KillMode::none) {
+  // Warm-up kills run between run_until() segments, never concurrent
+  // with event execution.
+  dead_.assign(n, false);
+  const auto num_kill = static_cast<std::uint32_t>(
+      std::lround(config_.kill_fraction * static_cast<double>(n)));
+  if (num_kill > 0 && config_.kill_mode != KillMode::none) {
     std::vector<NodeId> victims;
-    if (config.kill_mode == KillMode::random) {
-      std::vector<NodeId> everyone(config.num_nodes);
+    if (config_.kill_mode == KillMode::random) {
+      std::vector<NodeId> everyone(n);
       std::iota(everyone.begin(), everyone.end(), 0);
-      Rng killer = root.split(0x6b696c6cULL);
+      Rng killer = root_.split(0x6b696c6cULL);
       victims = killer.sample(everyone, num_kill);
     } else {  // best_ranked: exactly the biggest contributors (§6.3)
-      victims.assign(closeness_order.begin(),
-                     closeness_order.begin() +
-                         std::min<std::uint32_t>(num_kill, config.num_nodes));
+      victims.assign(closeness_order_.begin(),
+                     closeness_order_.begin() +
+                         std::min<std::uint32_t>(num_kill, n));
     }
     for (const NodeId v : victims) {
-      transport.silence(v);
-      dead[v] = true;
+      transport_->silence(v);
+      dead_[v] = true;
     }
   }
-  std::vector<NodeId> live;
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    if (!dead[id]) live.push_back(id);
+  for (NodeId id = 0; id < n; ++id) {
+    if (!dead_[id]) live_.push_back(id);
   }
-  ESM_CHECK(!live.empty(), "all nodes were killed");
+  ESM_CHECK(!live_.empty(), "all nodes were killed");
+}
 
-  // --- 5. Traffic --------------------------------------------------------------
-  transport.stats().reset();  // measure only the logged phase
-  transport.reset_egress_stats();
-  if (run_metrics) {
+// --- 5. Traffic, churn, faults and the periodic sweeps --------------------
+
+void Assembly::schedule_traffic() {
+  transport_->reset_stats();  // measure only the logged phase
+  transport_->reset_egress_stats();
+  if (trk_) {
     // Per-node queue-delay/depth histograms over the measurement phase.
     // Observation only: the listener fires on drain pops that happen
     // anyway, no RNG draws, no extra events.
-    obs::RunMetrics* rm = run_metrics.get();
-    transport.set_egress_listener(
+    obs::RunMetrics* rm = run_metrics_.get();
+    transport_->set_egress_listener(
         [rm](NodeId src, std::uint64_t sojourn_us, std::size_t depth) {
           rm->per_node[src].histogram("egress_sojourn_us").add(sojourn_us);
           rm->aggregate.histogram("transport.queue_delay_us").add(sojourn_us);
@@ -884,290 +1064,441 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         });
   }
 
-  // Overlay re-integration of a revived node: NeEM re-bootstraps and
-  // HyParView re-joins through a random live contact; Cyclon and the
-  // samplers re-absorb revived nodes through regular shuffling. Shared by
-  // the churn process and the fault injector's recover events.
-  auto rejoin_overlay = [&nodes, &transport, &config](NodeId back, Rng& rng) {
-    if (nodes[back]->neem) {
-      for (int attempt = 0; attempt < 5; ++attempt) {
-        const NodeId contact =
-            static_cast<NodeId>(rng.below(config.num_nodes));
-        if (contact != back && !transport.is_silenced(contact)) {
-          nodes[back]->neem->bootstrap({contact});
-          break;
-        }
-      }
-    }
-    if (nodes[back]->hyparview) {
-      for (int attempt = 0; attempt < 5; ++attempt) {
-        const NodeId contact =
-            static_cast<NodeId>(rng.below(config.num_nodes));
-        if (contact != back && !transport.is_silenced(contact)) {
-          nodes[back]->hyparview->join(contact);
-          break;
-        }
-      }
-    }
-  };
-
   // Continuous churn (extension): alternate kills and revivals, keeping
   // the live population near its initial size.
-  Rng churn_rng = root.split(0x6368726eULL);
-  std::vector<NodeId> churn_dead;
-  sim::PeriodicTimer churn_timer(sim, [&] {
-    const std::uint32_t live_min = std::max<std::uint32_t>(
-        2, static_cast<std::uint32_t>(live.size()) / 2);
-    std::uint32_t live_now = 0;
-    for (NodeId n = 0; n < config.num_nodes; ++n) {
-      if (!transport.is_silenced(n)) ++live_now;
-    }
-    const bool revive = !churn_dead.empty() &&
-                        (live_now <= live_min || churn_rng.chance(0.5));
-    if (revive) {
-      const std::size_t pick = churn_rng.below(churn_dead.size());
-      const NodeId back = churn_dead[pick];
-      churn_dead.erase(churn_dead.begin() + static_cast<std::ptrdiff_t>(pick));
-      transport.revive(back);
-      rejoin_overlay(back, churn_rng);
-    } else {
-      for (int attempt = 0; attempt < 10; ++attempt) {
-        const NodeId victim =
-            static_cast<NodeId>(churn_rng.below(config.num_nodes));
-        if (victim == config.single_sender || transport.is_silenced(victim)) {
-          continue;
-        }
-        transport.silence(victim);
-        churn_dead.push_back(victim);
-        break;
-      }
-    }
-  });
-  auto set_churn_rate = [&churn_timer](double rate) {
-    churn_timer.stop();
-    if (rate > 0.0) {
-      const auto period =
-          static_cast<SimTime>(static_cast<double>(kSecond) / rate);
-      churn_timer.start(period, std::max<SimTime>(period, 1));
-    }
-  };
-  if (config.churn_rate > 0.0) set_churn_rate(config.churn_rate);
+  churn_rng_ = root_.split(0x6368726eULL);
+  churn_timer_.emplace(engine_.control(), [this] { churn_tick(); });
+  if (config_.churn_rate > 0.0) set_churn_rate(config_.churn_rate);
 
   // Fault injector: armed *before* the traffic is scheduled so scenario
   // events fire ahead of multicasts that share their timestamp (the event
   // queue is FIFO within a timestamp).
-  Rng rejoin_rng = root.split(0x72656a6fULL);
-  std::optional<fault::FaultInjector> injector;
-  if (!config.scenario.empty()) {
+  rejoin_rng_ = root_.split(0x72656a6fULL);
+  if (!config_.scenario.empty()) {
     fault::InjectorHooks hooks;
-    hooks.on_recover = [&rejoin_overlay, &rejoin_rng](NodeId back) {
-      rejoin_overlay(back, rejoin_rng);
+    hooks.on_recover = [this](NodeId back) {
+      rejoin_overlay(back, rejoin_rng_);
     };
-    hooks.on_phase = [pw, trace_log, &sim](const std::string& label) {
-      if (pw) pw->start_phase(sim.now(), label);
-      if (trace_log) trace_log->record_phase({sim.now(), label});
+    hooks.on_phase = [this](const std::string& label) {
+      const SimTime now = engine_.control().now();
+      if (pw_) pw_->start_phase(now, label);
+      if (trace_log_) trace_log_->record_phase({now, label});
     };
-    hooks.on_churn_rate = set_churn_rate;
-    hooks.on_noise = [&nodes](double level) {
-      for (const auto& stack : nodes) {
+    hooks.on_churn_rate = [this](double rate) { set_churn_rate(rate); };
+    hooks.on_noise = [this](double level) {
+      for (const auto& stack : nodes_) {
         if (stack->noisy) stack->noisy->set_noise(level);
       }
     };
-    injector.emplace(sim, transport, config.scenario, closeness_order,
-                     root.split(0x6661756cULL), std::move(hooks));
-    injector->set_initial_noise(config.strategy.noise);
-    injector->arm(config.warmup);
+    injector_.emplace(engine_.control(), *transport_, config_.scenario,
+                      closeness_order_, root_.split(0x6661756cULL),
+                      std::move(hooks));
+    injector_->set_initial_noise(config_.strategy.noise);
+    injector_->arm(config_.warmup);
   }
 
-  std::deque<std::pair<SimTime, MsgId>> active_messages;
-  SimTime last_send = config.warmup;
-  if (use_workload) {
-    // Workload plan: every arrival is pre-resolved; scheduling consumes
-    // no RNG draws, so the transport/overlay streams are untouched by
-    // how the plan was generated.
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      const load::Arrival& arr = plan.arrivals[i];
-      const SimTime when = config.warmup + arr.at;
-      last_send = std::max(last_send, when);
-      sim.schedule_at(when, [arr, i, &sim, &active_messages, &nodes,
-                             &transport, &messages, &config, &plan, &goodput,
-                             pw] {
-        // Under churn the planned origin may be down at fire time: fall
-        // forward through the origin pool (topic members, or all nodes),
-        // mirroring the legacy loop's fall-forward.
-        NodeId sender = arr.origin;
-        if (arr.topic != load::kNoTopic) {
-          const std::vector<NodeId>& pool = plan.topic_members[arr.topic];
-          std::size_t idx = arr.origin_index % pool.size();
-          for (std::size_t step = 0;
-               transport.is_silenced(pool[idx]) && step < pool.size();
-               ++step) {
-            idx = (idx + 1) % pool.size();
-          }
-          sender = pool[idx];
-        } else {
-          for (std::uint32_t step = 0;
-               transport.is_silenced(sender) && step < config.num_nodes;
-               ++step) {
-            sender = (sender + 1) % config.num_nodes;
-          }
-        }
-        if (transport.is_silenced(sender)) return;  // whole pool down
-        // The reliability denominator is the message's live audience.
-        std::uint32_t audience = 0;
-        if (arr.topic != load::kNoTopic) {
-          for (const NodeId m : plan.topic_members[arr.topic]) {
-            if (!transport.is_silenced(m)) ++audience;
-          }
-        } else {
-          for (NodeId n = 0; n < config.num_nodes; ++n) {
-            if (!transport.is_silenced(n)) ++audience;
-          }
-        }
-        messages[i].live_at_send = audience;
-        if (pw) pw->on_multicast(i, audience);
-        goodput.on_offered(sim.now(), audience);
-        const std::uint32_t bytes =
-            arr.payload_bytes != 0 ? arr.payload_bytes : config.payload_bytes;
-        const core::AppMessage msg =
-            nodes[sender]->gossip->multicast(bytes, i, sim.now());
-        active_messages.emplace_back(sim.now(), msg.id);
-      });
+  // Multicasts. The workload plan pre-resolves every arrival, so
+  // scheduling consumes no RNG draws; the legacy source loop draws its
+  // spacing from a dedicated split.
+  Rng traffic = root_.split(0x74726166ULL);
+  SimTime t = config_.warmup;
+  last_send_ = config_.warmup;
+  if (!use_workload_ && config_.single_sender != kInvalidNode) {
+    ESM_CHECK(config_.single_sender < config_.num_nodes &&
+                  !dead_[config_.single_sender],
+              "single sender must be a live node");
+  }
+  for (std::uint32_t i = 0; i < num_messages_; ++i) {
+    NodeId planned = kInvalidNode;
+    if (use_workload_) {
+      const load::Arrival& arr = plan_.arrivals[i];
+      t = config_.warmup + arr.at;
+      last_send_ = std::max(last_send_, t);
+      planned = arr.origin;
+    } else {
+      t += traffic.range(0, 2 * config_.mean_interval);
+      last_send_ = t;
+      planned = config_.single_sender != kInvalidNode
+                    ? config_.single_sender
+                    : live_[i % live_.size()];
     }
-  } else {
-    Rng traffic = root.split(0x74726166ULL);
-    SimTime t = config.warmup;
-    if (config.single_sender != kInvalidNode) {
-      ESM_CHECK(config.single_sender < config.num_nodes &&
-                    !dead[config.single_sender],
-                "single sender must be a live node");
-    }
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      t += traffic.range(0, 2 * config.mean_interval);
-      last_send = t;
-      const NodeId planned = config.single_sender != kInvalidNode
-                                 ? config.single_sender
-                                 : live[i % live.size()];
-      const std::uint32_t bytes = config.payload_bytes;
-      sim.schedule_at(t, [planned, bytes, i, &sim, &active_messages, &nodes,
-                          &transport, &messages, &config, &goodput, pw] {
-        // Under churn the planned sender may be down at fire time: fall
-        // forward to the next live node.
-        NodeId sender = planned;
-        for (std::uint32_t step = 0;
-             transport.is_silenced(sender) && step < config.num_nodes;
-             ++step) {
-          sender = (sender + 1) % config.num_nodes;
-        }
-        if (transport.is_silenced(sender)) return;  // everyone down
-        std::uint32_t live_now = 0;
-        for (NodeId n = 0; n < config.num_nodes; ++n) {
-          if (!transport.is_silenced(n)) ++live_now;
-        }
-        messages[i].live_at_send = live_now;
-        if (pw) pw->on_multicast(i, live_now);
-        goodput.on_offered(sim.now(), live_now);
-        const core::AppMessage msg =
-            nodes[sender]->gossip->multicast(bytes, i, sim.now());
-        active_messages.emplace_back(sim.now(), msg.id);
+    if (engine_.sharded()) {
+      // With churn and scenarios gated the silenced set is frozen from
+      // here on, so the sender resolves now and the multicast goes
+      // straight onto its shard; a message whose pool is down is never
+      // scheduled.
+      const auto [sender, audience] = resolve_sender(i, planned);
+      if (sender == kInvalidNode) continue;
+      engine_.sim_for(sender).schedule_at(
+          t, [this, i, sender = sender, audience = audience] {
+            multicast(i, sender, audience);
+          });
+    } else {
+      // Under churn the planned sender may be down at fire time: resolve
+      // then.
+      engine_.control().schedule_at(t, [this, i, planned] {
+        const auto [sender, audience] = resolve_sender(i, planned);
+        if (sender != kInvalidNode) multicast(i, sender, audience);
       });
     }
   }
 
   // Optional garbage collection: periodically drop protocol state for
   // messages past their lifetime, on every node (§3.1/§3.2).
-  std::uint64_t gc_collected = 0;
-  sim::PeriodicTimer gc_timer(sim, [&] {
-    if (config.message_lifetime <= 0) return;
-    std::vector<MsgId> expired;
-    while (!active_messages.empty() &&
-           active_messages.front().first + config.message_lifetime <
-               sim.now()) {
-      expired.push_back(active_messages.front().second);
-      active_messages.pop_front();
-    }
-    if (expired.empty()) return;
-    gc_collected += expired.size();
-    for (const auto& stack : nodes) {
-      stack->gossip->garbage_collect(expired);
-      stack->scheduler->garbage_collect(expired);
-    }
-  });
-  if (config.message_lifetime > 0) {
-    gc_timer.start(config.message_lifetime, config.message_lifetime / 2);
+  gc_timer_.emplace(engine_.control(), [this] { gc_tick(); });
+  if (config_.message_lifetime > 0) {
+    gc_timer_->start(config_.message_lifetime, config_.message_lifetime / 2);
   }
 
   // Connection census (§5.4): sample simultaneous NeEM connections once
   // per second; each symmetric connection is held by two endpoints.
-  std::uint64_t peak_simultaneous = 0;
-  sim::PeriodicTimer census_timer(sim, [&] {
+  census_timer_.emplace(engine_.control(), [this] {
     std::uint64_t endpoints = 0;
-    for (const auto& stack : nodes) {
+    for (const auto& stack : nodes_) {
       if (stack->neem) endpoints += stack->neem->connections().size();
     }
-    peak_simultaneous = std::max(peak_simultaneous, endpoints / 2);
+    peak_simultaneous_ = std::max(peak_simultaneous_, endpoints / 2);
   });
-  if (config.overlay_kind == OverlayKind::neem) {
-    census_timer.start(0, 1 * kSecond);
+  if (config_.overlay_kind == OverlayKind::neem) {
+    census_timer_->start(0, 1 * kSecond);
   }
+}
 
-  sim.run_until(last_send + config.drain);
-  gc_timer.stop();
-  churn_timer.stop();
-  census_timer.stop();
+// --- 6. Run ------------------------------------------------------------------
+
+void Assembly::execute() {
+  engine_.run_until(last_send_ + config_.drain);
+  gc_timer_->stop();
+  churn_timer_->stop();
+  census_timer_->stop();
   // Streaming trace: emit payload rows whose packets never arrived.
-  if (trace_log && trace_log->streaming()) trace_log->flush();
+  if (trace_log_ && trace_log_->streaming()) trace_log_->flush();
+}
 
-  // --- 6. Aggregate --------------------------------------------------------------
+// --- node and timer callbacks ---------------------------------------------
+
+void Assembly::on_deliver(NodeId id, const core::AppMessage& msg) {
+  Shard& shard = shard_of(id);
+  const SimTime now = shard.sim->now();
+  // Topic gate: a delivery at a node outside the message's topic is
+  // protocol relay traffic. It still feeds the lifecycle tracker and the
+  // trace (the packet really arrived), but stays out of reliability,
+  // latency, phase windows and goodput.
+  const std::uint32_t topic =
+      msg.seq < msg_topic_.size() ? msg_topic_[msg.seq] : load::kNoTopic;
+  const Delivery d{now, id, msg.seq, now - msg.multicast_time,
+                   topic == load::kNoTopic || topic_member_[topic].test(id),
+                   msg.origin == id};
+  if (d.on_topic) {
+    if (pw_) pw_->on_delivery(msg.seq, to_ms(d.latency), d.origin);
+    shard.goodput.on_delivery(now);
+  }
+  // The order-sensitive accumulators (latency Samples/RunningStat) see
+  // deliveries in execution order at shards == 1; the sharded engine
+  // logs them per shard and replays them in canonical order after the
+  // run.
+  if (engine_.sharded()) {
+    shard.deliveries.push_back(d);
+  } else {
+    count_delivery(d);
+  }
+  if (trk_) trk_->on_delivery(id, msg.id, d.latency);
+  if (trace_log_) {
+    // The payload that delivered here was matched by the accept listener
+    // synchronously upstream of this callback; the origin delivers its
+    // own multicast (parent = itself, "eager").
+    NodeId from = id;
+    bool eager = true;
+    if (!d.origin) {
+      const LastAccept& acc = last_accept_[id];
+      if (acc.id == msg.id) {
+        from = acc.from;
+        eager = acc.eager;
+      } else {
+        from = kInvalidNode;
+      }
+    }
+    trace_log_->record_delivery(
+        {now, id, msg.origin, msg.seq, d.latency, from, eager});
+  }
+}
+
+void Assembly::count_delivery(const Delivery& d) {
+  if (!d.on_topic) {
+    ++offtopic_deliveries_;
+    return;
+  }
+  MsgRecord& rec = messages_.at(d.seq);
+  ++rec.deliveries;
+  if (!d.origin) {
+    const double ms = to_ms(d.latency);
+    rec.latency_ms.add(ms);
+    all_latency_ms_.add(ms);
+  }
+}
+
+void Assembly::on_payload_sent(NodeId id, const core::AppMessage& msg,
+                               NodeId dst, bool eager) {
+  Shard& shard = shard_of(id);
+  if (msg.seq < shard.payload_tx.size()) ++shard.payload_tx[msg.seq];
+  shard.goodput.on_payload();
+  if (pw_) pw_->on_payload(id, dst);
+  if (trace_log_) {
+    // Per-directed-link FIFO queues match each accepted payload packet
+    // back to the send that produced it (on_accept stamps its receive
+    // time on the trace row).
+    const SimTime now = shard.sim->now();
+    const auto handle =
+        trace_log_->record_payload({now, id, dst, msg.seq, eager});
+    const std::uint64_t link = (static_cast<std::uint64_t>(id) << 32) | dst;
+    in_flight_[link].push_back({msg.seq, now, handle, eager});
+  }
+}
+
+void Assembly::on_accept(NodeId id, NodeId src, const core::AppMessage& msg,
+                         bool duplicate) {
+  const SimTime now = shard_of(id).sim->now();
+  const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | id;
+  bool eager = true;
+  if (auto* queue = in_flight_.find(link)) {
+    // Entries older than any plausible one-way delay belong to lost
+    // packets; drop them so the scan stays bounded.
+    constexpr SimTime kLostAfter = 30 * kSecond;
+    while (!queue->empty() && queue->front().sent + kLostAfter < now) {
+      queue->pop_front();
+    }
+    for (auto q = queue->begin(); q != queue->end(); ++q) {
+      if (q->seq == msg.seq) {
+        trace_log_->set_payload_recv(q->handle, now);
+        eager = q->eager;
+        queue->erase(q);
+        break;
+      }
+    }
+    if (queue->empty()) in_flight_.erase(link);
+  }
+  if (!duplicate) last_accept_[id] = {msg.id, src, eager};
+}
+
+/// Falls forward from the planned sender to the first live node of the
+/// message's origin pool (its topic members, or every node), and counts
+/// the message's live audience — the reliability denominator. Returns
+/// kInvalidNode when the whole pool is down.
+std::pair<NodeId, std::uint32_t> Assembly::resolve_sender(
+    std::uint32_t i, NodeId planned) const {
+  const net::Transport& transport = *transport_;
+  const std::uint32_t topic =
+      use_workload_ ? plan_.arrivals[i].topic : load::kNoTopic;
+  NodeId sender = planned;
+  std::uint32_t audience = 0;
+  if (topic != load::kNoTopic) {
+    const std::vector<NodeId>& pool = plan_.topic_members[topic];
+    std::size_t idx = plan_.arrivals[i].origin_index % pool.size();
+    for (std::size_t step = 0;
+         transport.is_silenced(pool[idx]) && step < pool.size(); ++step) {
+      idx = (idx + 1) % pool.size();
+    }
+    sender = pool[idx];
+    for (const NodeId m : pool) {
+      if (!transport.is_silenced(m)) ++audience;
+    }
+  } else {
+    for (std::uint32_t step = 0;
+         transport.is_silenced(sender) && step < config_.num_nodes; ++step) {
+      sender = (sender + 1) % config_.num_nodes;
+    }
+    for (NodeId id = 0; id < config_.num_nodes; ++id) {
+      if (!transport.is_silenced(id)) ++audience;
+    }
+  }
+  if (transport.is_silenced(sender)) return {kInvalidNode, 0};
+  return {sender, audience};
+}
+
+void Assembly::multicast(std::uint32_t i, NodeId sender,
+                         std::uint32_t audience) {
+  Shard& shard = shard_of(sender);
+  const SimTime now = shard.sim->now();
+  messages_[i].live_at_send = audience;
+  if (pw_) pw_->on_multicast(i, audience);
+  shard.goodput.on_offered(now, audience);
+  const std::uint32_t planned_bytes =
+      use_workload_ ? plan_.arrivals[i].payload_bytes : 0;
+  const std::uint32_t bytes =
+      planned_bytes != 0 ? planned_bytes : config_.payload_bytes;
+  const core::AppMessage msg = nodes_[sender]->gossip->multicast(bytes, i, now);
+  shard.active.push_back({now, i, msg.id});
+}
+
+/// Overlay re-integration of a revived node: NeEM re-bootstraps and
+/// HyParView re-joins through a random live contact; Cyclon and the
+/// samplers re-absorb revived nodes through regular shuffling. Shared by
+/// the churn process and the fault injector's recover events.
+void Assembly::rejoin_overlay(NodeId back, Rng& rng) {
+  NodeStack& node = *nodes_[back];
+  if (!node.neem && !node.hyparview) return;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    const NodeId contact = static_cast<NodeId>(rng.below(config_.num_nodes));
+    if (contact != back && !transport_->is_silenced(contact)) {
+      if (node.neem) {
+        node.neem->bootstrap({contact});
+      } else {
+        node.hyparview->join(contact);
+      }
+      return;
+    }
+  }
+}
+
+void Assembly::churn_tick() {
+  const std::uint32_t live_min = std::max<std::uint32_t>(
+      2, static_cast<std::uint32_t>(live_.size()) / 2);
+  std::uint32_t live_now = 0;
+  for (NodeId id = 0; id < config_.num_nodes; ++id) {
+    if (!transport_->is_silenced(id)) ++live_now;
+  }
+  const bool revive = !churn_dead_.empty() &&
+                      (live_now <= live_min || churn_rng_.chance(0.5));
+  if (revive) {
+    const std::size_t pick = churn_rng_.below(churn_dead_.size());
+    const NodeId back = churn_dead_[pick];
+    churn_dead_.erase(churn_dead_.begin() + static_cast<std::ptrdiff_t>(pick));
+    transport_->revive(back);
+    rejoin_overlay(back, churn_rng_);
+    return;
+  }
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    const NodeId victim =
+        static_cast<NodeId>(churn_rng_.below(config_.num_nodes));
+    if (victim == config_.single_sender || transport_->is_silenced(victim)) {
+      continue;
+    }
+    transport_->silence(victim);
+    churn_dead_.push_back(victim);
+    return;
+  }
+}
+
+void Assembly::set_churn_rate(double rate) {
+  churn_timer_->stop();
+  if (rate > 0.0) {
+    const auto period =
+        static_cast<SimTime>(static_cast<double>(kSecond) / rate);
+    churn_timer_->start(period, std::max<SimTime>(period, 1));
+  }
+}
+
+void Assembly::gc_tick() {
+  if (config_.message_lifetime <= 0) return;
+  const SimTime now = engine_.control().now();
+  std::vector<ActiveMsg> expired;
+  for (Shard& shard : shards_) {
+    while (!shard.active.empty() &&
+           shard.active.front().at + config_.message_lifetime < now) {
+      expired.push_back(shard.active.front());
+      shard.active.pop_front();
+    }
+  }
+  if (expired.empty()) return;
+  // Merge in (time, seq) order so the collection sequence is shard-count
+  // invariant. One queue is already in that order: multicasts execute in
+  // time order, and same-time ones in scheduling (= seq) order.
+  std::sort(expired.begin(), expired.end(),
+            [](const ActiveMsg& a, const ActiveMsg& b) {
+              return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+            });
+  gc_collected_ += expired.size();
+  std::vector<MsgId> ids;
+  ids.reserve(expired.size());
+  for (const ActiveMsg& m : expired) ids.push_back(m.id);
+  for (const auto& stack : nodes_) {
+    stack->gossip->garbage_collect(ids);
+    stack->scheduler->garbage_collect(ids);
+  }
+}
+
+// --- 7. Finalize -------------------------------------------------------------
+
+ExperimentResult Assembly::finalize() {
+  const std::uint32_t n = config_.num_nodes;
+  const SimTime end = engine_.now();
   ExperimentResult result;
-  result.live_nodes = static_cast<std::uint32_t>(live.size());
-  result.events_executed = sim.events_executed();
-  if (pw) result.phase_reports = pw->finalize(sim.now());
-  if (injector) result.faults_injected = injector->events_applied();
+  result.live_nodes = static_cast<std::uint32_t>(live_.size());
+  result.events_executed = engine_.events_executed();
+  if (pw_) result.phase_reports = pw_->finalize(end);
+  if (injector_) result.faults_injected = injector_->events_applied();
+
+  if (engine_.sharded()) {
+    // Replay the delivery logs in canonical (time, node) order. Entries
+    // sharing a (time, node) pair come from a single shard's log in its
+    // execution order, so a stable sort yields one global order that does
+    // not depend on the shard count.
+    std::vector<Delivery> replay;
+    for (const Shard& shard : shards_) {
+      replay.insert(replay.end(), shard.deliveries.begin(),
+                    shard.deliveries.end());
+    }
+    std::stable_sort(replay.begin(), replay.end(),
+                     [](const Delivery& a, const Delivery& b) {
+                       return a.at != b.at ? a.at < b.at : a.node < b.node;
+                     });
+    for (const Delivery& d : replay) count_delivery(d);
+  }
 
   stats::RunningStat per_msg_latency;
   stats::RunningStat delivery_fraction;
   std::uint64_t total_deliveries = 0;
   std::uint32_t atomic = 0;
-  result.expected_deliveries.reserve(messages.size());
-  for (const MsgRecord& rec : messages) {
+  result.expected_deliveries.reserve(messages_.size());
+  for (const MsgRecord& rec : messages_) {
+    ESM_CHECK(rec.deliveries <= n, "a node delivered the same message twice");
     total_deliveries += rec.deliveries;
     // Under churn the denominator is the live population at send time;
     // nodes revived mid-flight can push the raw ratio past 1.
     const std::uint32_t denom =
         rec.live_at_send > 0 ? rec.live_at_send
-                             : static_cast<std::uint32_t>(live.size());
+                             : static_cast<std::uint32_t>(live_.size());
     result.expected_deliveries.push_back(denom);
     delivery_fraction.add(std::min(
         1.0, static_cast<double>(rec.deliveries) / static_cast<double>(denom)));
     if (rec.deliveries >= denom) ++atomic;
     if (rec.latency_ms.count() > 0) per_msg_latency.add(rec.latency_ms.mean());
   }
-  result.mean_latency_ms = all_latency_ms.mean();
+  result.mean_latency_ms = all_latency_ms_.mean();
   result.latency_ci95_ms = per_msg_latency.ci95_half_width();
-  result.p50_latency_ms = all_latency_ms.quantile(0.50);
-  result.p95_latency_ms = all_latency_ms.quantile(0.95);
+  result.p50_latency_ms = all_latency_ms_.quantile(0.50);
+  result.p95_latency_ms = all_latency_ms_.quantile(0.95);
   result.mean_delivery_fraction = delivery_fraction.mean();
   result.delivery_ci95 = delivery_fraction.ci95_half_width();
   result.atomic_delivery_fraction =
-      static_cast<double>(atomic) / static_cast<double>(num_messages);
+      static_cast<double>(atomic) / static_cast<double>(num_messages_);
 
-  const net::TrafficStats& tstats = transport.stats();
+  // Run-wide traffic view. The sharded engine sums its per-shard slots;
+  // the single slot is read in place.
+  std::optional<net::TrafficStats> merged;
+  if (engine_.sharded()) merged.emplace(transport_->merged_stats());
+  const net::TrafficStats& tstats = merged ? *merged : transport_->stats();
   result.payload_packets = tstats.total_payload_packets();
-  result.control_packets = tstats.total_packets() - tstats.total_payload_packets();
+  result.control_packets =
+      tstats.total_packets() - tstats.total_payload_packets();
   result.total_bytes = tstats.total_bytes();
-  result.packets_lost = transport.packets_lost();
-  result.buffer_drops = transport.buffer_drops();
+  result.packets_lost = transport_->packets_lost();
+  result.buffer_drops = transport_->buffer_drops();
 
-  // Goodput / saturation view of the same run.
-  const obs::GoodputReport gp = goodput.finalize(sim.now());
+  // Goodput / saturation view of the same run: the per-shard trackers
+  // fold into one (summed counters/buckets; watermark clocks joined).
+  obs::GoodputTracker& goodput = shards_.front().goodput;
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    goodput.merge(shards_[s].goodput);
+  }
+  const obs::GoodputReport gp = goodput.finalize(end);
   result.offered_msgs = gp.offered_msgs;
   result.offered_msgs_per_s = gp.offered_msgs_per_s;
   result.goodput_msgs_per_s = gp.goodput_msgs_per_s;
   result.redundancy_ratio = gp.redundancy_ratio;
   result.knee_time_ms = gp.knee_time_ms;
-  result.offtopic_deliveries = offtopic_deliveries;
-  const net::Transport::EgressStats egress_totals = transport.egress_totals();
+  result.offtopic_deliveries = offtopic_deliveries_;
+  const net::Transport::EgressStats egress_totals = transport_->egress_totals();
   result.egress_serialized_packets = egress_totals.serialized_packets;
   if (egress_totals.serialized_packets > 0) {
     result.egress_queue_delay_mean_ms =
@@ -1178,16 +1509,32 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       static_cast<double>(egress_totals.max_sojourn_us) / 1000.0;
   result.egress_peak_depth = egress_totals.peak_depth;
   result.egress_peak_queued_bytes = egress_totals.peak_queued_bytes;
-  // Backpressure accounting (all zero when --backpressure off).
-  for (const auto& stack : nodes) {
+  result.watermark_episodes = gp.watermark_episodes;
+  result.watermark_residency_ms = gp.watermark_residency_ms;
+
+  std::uint64_t still_pending = 0;
+  for (const auto& stack : nodes_) {
     const core::SchedulerStats& ss = stack->scheduler->stats();
+    // Backpressure accounting (all zero when --backpressure off).
     result.eager_deferred += ss.eager_deferred;
     result.replies_deferred += ss.replies_deferred;
     result.drops_readvertised += ss.drops_readvertised;
     result.iwants_purged += ss.iwants_purged;
+    result.duplicate_payloads += ss.duplicate_payloads;
+    result.requests_sent += ss.requests_sent;
+    result.prunes_sent += ss.prunes_sent;
+    result.iwant_retries += ss.iwant_retries;
+    result.recovery_gave_up += ss.recovery_gave_up;
+    still_pending += stack->scheduler->pending_requests();
+    // Each opened symmetric connection is counted at both endpoints.
+    if (stack->neem) {
+      result.connections_opened += stack->neem->connections_opened();
+    }
+    result.max_known_messages =
+        std::max(result.max_known_messages, stack->gossip->known_count());
   }
-  result.watermark_episodes = gp.watermark_episodes;
-  result.watermark_residency_ms = gp.watermark_residency_ms;
+  result.recovery_stalled = result.recovery_gave_up + still_pending;
+  result.connections_opened /= 2;
 
   result.payload_per_delivery =
       total_deliveries == 0
@@ -1199,23 +1546,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // "(low)" is comparable across oracle-rank and gossip-rank runs; the
   // reporting split may be wider than the strategy's best set (Fig. 5(c)
   // reports an 80/20 contribution split).
-  const double report_fraction = config.report_best_fraction > 0.0
-                                     ? config.report_best_fraction
-                                     : config.strategy.best_fraction;
-  const auto report_best = static_cast<std::uint32_t>(std::lround(
-      report_fraction * static_cast<double>(config.num_nodes)));
-  std::vector<bool> is_best(config.num_nodes, false);
-  for (std::uint32_t i = 0;
-       i < report_best && i < closeness_order.size(); ++i) {
-    is_best[closeness_order[i]] = true;
+  const double report_fraction = config_.report_best_fraction > 0.0
+                                     ? config_.report_best_fraction
+                                     : config_.strategy.best_fraction;
+  const auto report_best = static_cast<std::uint32_t>(
+      std::lround(report_fraction * static_cast<double>(n)));
+  std::vector<bool> is_best(n, false);
+  for (std::uint32_t i = 0; i < report_best && i < closeness_order_.size();
+       ++i) {
+    is_best[closeness_order_[i]] = true;
   }
   stats::RunningStat all_load, low_load, best_load;
-  for (const NodeId id : live) {
-    const double per_msg =
-        static_cast<double>(tstats.node_sent_payload(id)) /
-        static_cast<double>(num_messages);
+  for (const NodeId id : live_) {
+    const double per_msg = static_cast<double>(tstats.node_sent_payload(id)) /
+                           static_cast<double>(num_messages_);
     all_load.add(per_msg);
-    if (needs_best && is_best[id]) {
+    if (needs_best_ && is_best[id]) {
       best_load.add(per_msg);
     } else {
       low_load.add(per_msg);
@@ -1230,89 +1576,69 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   result.top5_connection_share = tstats.top_connection_payload_share(0.05);
   result.connection_payloads = tstats.undirected_payload_counts();
+  // Equal-count ties: the single-threaded engine keeps them in hash-map
+  // iteration order, which its goldens pin; the sharded engine's merged
+  // map is rebuilt shard by shard, so it breaks them by endpoint to stay
+  // identical at every shard count.
+  const bool by_endpoint = engine_.sharded();
   std::sort(result.connection_payloads.begin(),
             result.connection_payloads.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  result.node_payloads.resize(config.num_nodes);
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
+            [by_endpoint](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return by_endpoint && a.first < b.first;
+            });
+  result.node_payloads.resize(n);
+  for (NodeId id = 0; id < n; ++id) {
     result.node_payloads[id] = tstats.node_sent_payload(id);
   }
-  result.client_coords = topo.client_coords;
-  if (needs_best) result.best_nodes = oracle_best;
+  result.client_coords = topo_.client_coords;
+  if (needs_best_) result.best_nodes = oracle_best_;
 
-  for (const MsgRecord& rec : messages) {
-    ESM_CHECK(rec.deliveries <= config.num_nodes,
-              "a node delivered the same message twice");
-  }
-
-  std::uint64_t dups = 0, reqs = 0, prunes = 0;
-  std::uint64_t retries = 0, gave_up = 0, still_pending = 0;
-  for (const auto& stack : nodes) {
-    dups += stack->scheduler->stats().duplicate_payloads;
-    reqs += stack->scheduler->stats().requests_sent;
-    prunes += stack->scheduler->stats().prunes_sent;
-    retries += stack->scheduler->stats().iwant_retries;
-    gave_up += stack->scheduler->stats().recovery_gave_up;
-    still_pending += stack->scheduler->pending_requests();
-  }
-  result.duplicate_payloads = dups;
-  result.requests_sent = reqs;
-  result.prunes_sent = prunes;
-  result.iwant_retries = retries;
-  result.recovery_gave_up = gave_up;
-  result.recovery_stalled = gave_up + still_pending;
-  result.payload_tx_per_message = std::move(payload_tx_per_message);
-  result.trace = trace_log;
-  result.peak_simultaneous_connections = peak_simultaneous;
-  for (const auto& stack : nodes) {
-    // Each opened symmetric connection is counted at both endpoints.
-    if (stack->neem) {
-      result.connections_opened += stack->neem->connections_opened();
+  // Per-shard send counters sum into the run-wide vector.
+  result.payload_tx_per_message = std::move(shards_.front().payload_tx);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    for (std::uint32_t i = 0; i < num_messages_; ++i) {
+      result.payload_tx_per_message[i] += shards_[s].payload_tx[i];
     }
   }
-  result.connections_opened /= 2;
-  result.messages_garbage_collected = gc_collected;
-  for (const auto& stack : nodes) {
-    result.max_known_messages =
-        std::max(result.max_known_messages, stack->gossip->known_count());
-  }
+  result.trace = trace_log_;
+  result.peak_simultaneous_connections = peak_simultaneous_;
+  result.messages_garbage_collected = gc_collected_;
 
-  if (wrap_noise) {
+  if (wrap_noise_) {
     stats::RunningStat c_est;
-    for (const auto& stack : nodes) {
+    for (const auto& stack : nodes_) {
       if (stack->noisy) c_est.add(stack->noisy->eager_rate_estimate());
     }
     result.mean_eager_rate_estimate = c_est.mean();
   } else {
-    result.mean_eager_rate_estimate =
-        std::numeric_limits<double>::quiet_NaN();
+    result.mean_eager_rate_estimate = std::numeric_limits<double>::quiet_NaN();
   }
   // Emergent-structure analysis: reconstruct the per-message dissemination
   // trees from the trace and aggregate their structure metrics, run-wide
   // and per scenario phase window (messages attributed by send time, the
   // same rule PhaseWindows uses).
-  if (config.collect_tree_stats && trace_log) {
+  if (config_.collect_tree_stats && trace_log_) {
     obs::TreeStatsOptions topt;
-    topt.ranked = closeness_order;
+    topt.ranked = closeness_order_;
     topt.top_fraction = report_fraction;
-    topt.paths = &metrics;
+    topt.paths = path_model_.get();
     auto tree = std::make_shared<obs::TreeStats>(
-        obs::analyze_trees(*trace_log, topt));
+        obs::analyze_trees(*trace_log_, topt));
     // All-pairs mean one-way overlay latency: the strategy-independent
     // baseline for the tree-edge latency comparison, derived from the
-    // closeness pass of section 1.
+    // closeness pass of the world stage.
     double closeness_total = 0.0;
-    for (const double s : closeness_sums) closeness_total += s;
+    for (const double s : closeness_sums_) closeness_total += s;
     const double ordered_pairs =
-        static_cast<double>(config.num_nodes) *
-        static_cast<double>(config.num_nodes - 1);
+        static_cast<double>(n) * static_cast<double>(n - 1);
     tree->overlay_mean_link_us =
         ordered_pairs > 0.0 ? closeness_total / ordered_pairs : 0.0;
     for (stats::PhaseReport& p : result.phase_reports) {
       obs::TreeStatsOptions wopt = topt;
       wopt.window_start = p.start;
       wopt.window_end = p.end;
-      const obs::TreeStats w = obs::analyze_trees(*trace_log, wopt);
+      const obs::TreeStats w = obs::analyze_trees(*trace_log_, wopt);
       p.tree_edges = w.edges;
       p.tree_eager_edges = w.eager_edges;
       p.tree_eager_hop_share = w.eager_hop_share();
@@ -1321,68 +1647,71 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.tree_stats = std::move(tree);
   }
 
-  result.path_model_bytes = metrics.memory_bytes();
-  result.path_rows_computed = metrics.rows_computed();
-  result.path_row_evictions = metrics.row_evictions();
-  if (trk) {
+  // Path-model footprint and work, replicas included.
+  result.path_model_bytes = path_model_->memory_bytes();
+  result.path_rows_computed = path_model_->rows_computed();
+  result.path_row_evictions = path_model_->row_evictions();
+  for (const Shard& shard : shards_) {
+    if (!shard.paths) continue;
+    result.path_model_bytes += shard.paths->memory_bytes();
+    result.path_rows_computed += shard.paths->rows_computed();
+    result.path_row_evictions += shard.paths->row_evictions();
+  }
+  if (trk_) {
     // Deterministic memory gauges (peak RSS is process-wide and
     // scheduling-dependent, so it stays out of the metrics document).
-    run_metrics->aggregate.gauge_max(
-        "path_model.bytes", static_cast<double>(result.path_model_bytes));
-    run_metrics->aggregate.gauge_max(
-        "path_model.rows_computed",
-        static_cast<double>(result.path_rows_computed));
-    run_metrics->aggregate.gauge_max(
-        "path_model.row_evictions",
-        static_cast<double>(result.path_row_evictions));
+    obs::MetricsRegistry& agg = run_metrics_->aggregate;
+    agg.gauge_max("path_model.bytes",
+                  static_cast<double>(result.path_model_bytes));
+    agg.gauge_max("path_model.rows_computed",
+                  static_cast<double>(result.path_rows_computed));
+    agg.gauge_max("path_model.row_evictions",
+                  static_cast<double>(result.path_row_evictions));
     // Arena high-water marks: the intern table never shrinks, so the
     // final size IS the run's peak — exactly what matters under many
     // concurrent messages.
-    run_metrics->aggregate.gauge_max(
-        "arena.messages", static_cast<double>(msg_arena.size()));
-    run_metrics->aggregate.gauge_max(
-        "arena.bytes", static_cast<double>(msg_arena.bytes()));
+    const core::MessageArena& arena = shards_.front().arena;
+    agg.gauge_max("arena.messages", static_cast<double>(arena.size()));
+    agg.gauge_max("arena.bytes", static_cast<double>(arena.bytes()));
     // Goodput/saturation and egress serialization, for --metrics-out
     // consumers (counters sum, gauges max across --reps merges).
-    obs::MetricsRegistry& gagg = run_metrics->aggregate;
-    gagg.add_counter("goodput.offered_msgs", gp.offered_msgs);
-    gagg.add_counter("goodput.expected_deliveries", gp.expected_deliveries);
-    gagg.add_counter("goodput.deliveries", gp.deliveries);
-    gagg.add_counter("goodput.payload_sends", gp.payload_sends);
-    gagg.add_counter("goodput.offtopic_deliveries", offtopic_deliveries);
-    gagg.gauge_max("goodput.offered_msgs_per_s", gp.offered_msgs_per_s);
-    gagg.gauge_max("goodput.goodput_msgs_per_s", gp.goodput_msgs_per_s);
-    gagg.gauge_max("goodput.redundancy_ratio", gp.redundancy_ratio);
-    gagg.gauge_max("goodput.knee_time_ms", gp.knee_time_ms);
-    gagg.add_counter("transport.egress_serialized_packets",
-                     egress_totals.serialized_packets);
-    gagg.add_counter("transport.buffer_drops", result.buffer_drops);
-    gagg.gauge_max("transport.egress_peak_depth",
-                   static_cast<double>(egress_totals.peak_depth));
-    gagg.gauge_max("transport.egress_peak_queued_bytes",
-                   static_cast<double>(egress_totals.peak_queued_bytes));
-    gagg.gauge_max("transport.egress_max_sojourn_us",
-                   static_cast<double>(egress_totals.max_sojourn_us));
-    if (config.backpressure) {
+    agg.add_counter("goodput.offered_msgs", gp.offered_msgs);
+    agg.add_counter("goodput.expected_deliveries", gp.expected_deliveries);
+    agg.add_counter("goodput.deliveries", gp.deliveries);
+    agg.add_counter("goodput.payload_sends", gp.payload_sends);
+    agg.add_counter("goodput.offtopic_deliveries", offtopic_deliveries_);
+    agg.gauge_max("goodput.offered_msgs_per_s", gp.offered_msgs_per_s);
+    agg.gauge_max("goodput.goodput_msgs_per_s", gp.goodput_msgs_per_s);
+    agg.gauge_max("goodput.redundancy_ratio", gp.redundancy_ratio);
+    agg.gauge_max("goodput.knee_time_ms", gp.knee_time_ms);
+    agg.add_counter("transport.egress_serialized_packets",
+                    egress_totals.serialized_packets);
+    agg.add_counter("transport.buffer_drops", result.buffer_drops);
+    agg.gauge_max("transport.egress_peak_depth",
+                  static_cast<double>(egress_totals.peak_depth));
+    agg.gauge_max("transport.egress_peak_queued_bytes",
+                  static_cast<double>(egress_totals.peak_queued_bytes));
+    agg.gauge_max("transport.egress_max_sojourn_us",
+                  static_cast<double>(egress_totals.max_sojourn_us));
+    if (config_.backpressure) {
       // Keyed only when the feature is on, so metrics documents of
       // backpressure-off runs stay byte-identical with older builds.
-      gagg.add_counter("backpressure.eager_deferred", result.eager_deferred);
-      gagg.add_counter("backpressure.replies_deferred",
-                       result.replies_deferred);
-      gagg.add_counter("backpressure.drops_readvertised",
-                       result.drops_readvertised);
-      gagg.add_counter("backpressure.iwants_purged", result.iwants_purged);
-      gagg.add_counter("backpressure.watermark_episodes",
-                       gp.watermark_episodes);
-      gagg.gauge_max("backpressure.watermark_residency_ms",
-                     gp.watermark_residency_ms);
+      agg.add_counter("backpressure.eager_deferred", result.eager_deferred);
+      agg.add_counter("backpressure.replies_deferred",
+                      result.replies_deferred);
+      agg.add_counter("backpressure.drops_readvertised",
+                      result.drops_readvertised);
+      agg.add_counter("backpressure.iwants_purged", result.iwants_purged);
+      agg.add_counter("backpressure.watermark_episodes",
+                      gp.watermark_episodes);
+      agg.gauge_max("backpressure.watermark_residency_ms",
+                    gp.watermark_residency_ms);
     }
     if (result.tree_stats) {
       // Only merge-exact quantities go into the metrics document: counters
       // (sum), histograms (bucket-add) and one max-semantics gauge, so the
       // tree.* keys stay byte-identical across --reps at any --jobs.
       const obs::TreeStats& t = *result.tree_stats;
-      obs::MetricsRegistry& agg = run_metrics->aggregate;
       agg.add_counter("tree.messages", t.messages);
       agg.add_counter("tree.edges", t.edges);
       agg.add_counter("tree.eager_edges", t.eager_edges);
@@ -1399,900 +1728,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       agg.histogram("tree.stretch_pct").merge(t.stretch_pct);
       agg.histogram("tree.jaccard_permille").merge(t.jaccard_permille);
     }
-    trk->finalize();
-    result.metrics = run_metrics;
+    trk_->finalize();
   }
-  return result;
-}
-
-namespace {
-
-// The sharded engine's assembly. A deliberate near-copy of
-// run_experiment: both functions build the same stacks in the same RNG
-// split order, so the two engines diverge only in event execution order
-// (and the sections the v1 gates exclude). Every departure from the
-// legacy assembly is marked with a "sharded:" comment; when editing one
-// function, mirror the change in the other.
-ExperimentResult run_experiment_sharded(const ExperimentConfig& config) {
-  // Authoritative v1 gates. The CLI enforces the same set at parse time,
-  // but tools mutate the config after parsing (esm_run applies --trace /
-  // --metrics-out itself), so the run is where the contract is checked.
-  ESM_CHECK(config.scenario.empty(),
-            "--shards >= 2: scenario scripts need the single-threaded engine");
-  ESM_CHECK(config.churn_rate == 0.0,
-            "--shards >= 2: churn needs the single-threaded engine");
-  ESM_CHECK(!config.collect_trace && config.trace_sink == nullptr,
-            "--shards >= 2: trace collection needs the single-threaded "
-            "engine");
-  ESM_CHECK(!config.collect_tree_stats,
-            "--shards >= 2: tree stats need the single-threaded engine");
-  // collect_metrics is allowed: the sharded engine exports the sim.shard.*
-  // execution block (no per-node lifecycle instrumentation — that tracker
-  // is single-threaded).
-  ESM_CHECK(config.strategy.noise == 0.0,
-            "--shards >= 2: strategy noise needs the single-threaded engine "
-            "(the shared calibration is order-dependent)");
-  ESM_CHECK(config.num_nodes >= 2, "need at least two nodes");
-  ESM_CHECK(config.kill_fraction >= 0.0 && config.kill_fraction < 1.0,
-            "kill fraction must be in [0, 1)");
-  Rng root(config.seed);
-
-  const bool use_workload = !config.workload.empty();
-  load::WorkloadPlan plan;
-  if (use_workload) {
-    plan = load::build_plan(config.workload, config.num_nodes,
-                            root.split(0x776b6c64ULL));  // "wkld"
-    ESM_CHECK(!plan.arrivals.empty(),
-              "workload generated no arrivals (rate * duration too small)");
-  }
-  const std::uint32_t num_messages =
-      use_workload ? static_cast<std::uint32_t>(plan.size())
-                   : config.num_messages;
-  const SimTime effective_interval =
-      use_workload
-          ? config.workload.duration / static_cast<SimTime>(plan.size())
-          : config.mean_interval;
-
-  // --- 1. Underlay, routing, ranking --------------------------------------
-  net::TopologyParams topo_params = config.topology;
-  topo_params.num_clients = config.num_nodes;
-  const net::Topology topo = generate_topology(topo_params, config.seed);
-  const std::unique_ptr<net::PathModel> path_model =
-      net::make_path_model(topo, config.path_model, config.path_cache_bytes);
-  const net::PathModel& metrics = *path_model;
-  net::PathLatencyModel latency(metrics);
-
-  // sharded: the world and its conservative window width. Jitter can
-  // shrink a one-way delay to (1 - jitter) of the routed latency, never
-  // below, so that scaling of the model's lower bound is a valid
-  // lookahead for every cross-shard packet.
-  const std::uint32_t num_shards = config.shards;
-  sim::ShardedSimulator world(num_shards);
-  const SimTime path_floor = metrics.min_latency_lower_bound();
-  const auto lookahead = std::max<SimTime>(
-      1, static_cast<SimTime>(std::floor(static_cast<double>(path_floor) *
-                                         (1.0 - config.jitter))));
-  world.set_lookahead(lookahead);
-
-  // sharded: the on-demand path model mutates an LRU row cache under
-  // latency(), so each shard gets a private replica (identical answers,
-  // separate caches). The dense matrix is immutable and safely shared.
-  const bool ondemand_paths =
-      net::resolve_path_model(config.path_model, config.num_nodes) ==
-      net::PathModelKind::ondemand;
-  std::vector<std::unique_ptr<net::PathModel>> shard_paths;
-  std::deque<net::PathLatencyModel> shard_latency_models;
-  std::vector<const net::LatencyModel*> shard_latency;
-  if (ondemand_paths) {
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      shard_paths.push_back(net::make_path_model(topo, config.path_model,
-                                                 config.path_cache_bytes));
-      shard_latency_models.emplace_back(*shard_paths.back());
-      shard_latency.push_back(&shard_latency_models.back());
-    }
-  }
-
-  const bool needs_monitor = config.strategy.kind == StrategyKind::radius ||
-                             config.strategy.kind == StrategyKind::hybrid;
-  const bool needs_best = config.strategy.kind == StrategyKind::ranked ||
-                          config.strategy.kind == StrategyKind::hybrid;
-  const bool use_gossip_rank = needs_best && config.strategy.use_gossip_rank;
-  const bool needs_closeness =
-      needs_best || (config.kill_fraction > 0.0 &&
-                     config.kill_mode == KillMode::best_ranked);
-
-  std::vector<double> closeness_sums;
-  std::vector<NodeId> closeness_order;
-  if (needs_closeness) {
-    closeness_sums = metrics.closeness_sums();
-    closeness_order = order_by_closeness_sums(closeness_sums);
-  }
-
-  std::vector<NodeId> oracle_best;
-  if (needs_best) {
-    const auto num_best = static_cast<std::uint32_t>(std::lround(
-        config.strategy.best_fraction *
-        static_cast<double>(config.num_nodes)));
-    oracle_best.assign(closeness_order.begin(),
-                       closeness_order.begin() +
-                           std::min<std::uint32_t>(num_best,
-                                                   config.num_nodes));
-  }
-
-  net::TransportOptions topts;
-  topts.loss_rate = config.loss_rate;
-  topts.bandwidth_bps = config.bandwidth_bps;
-  topts.jitter = config.jitter;
-  topts.egress_buffer_bytes = config.egress_buffer_bytes;
-  topts.purge_policy = config.purge_policy;
-  if (config.backpressure && config.egress_buffer_bytes > 0) {
-    topts.high_watermark = config.bp_high_watermark;
-    topts.low_watermark = config.bp_low_watermark;
-  }
-  if (config.slow_fraction > 0.0) {
-    topts.node_bandwidth_bps.assign(config.num_nodes, config.bandwidth_bps);
-    std::vector<NodeId> everyone(config.num_nodes);
-    std::iota(everyone.begin(), everyone.end(), 0);
-    Rng slow_rng = root.split(0x736c6f77ULL);
-    const auto num_slow = static_cast<std::uint32_t>(std::lround(
-        config.slow_fraction * static_cast<double>(config.num_nodes)));
-    for (const NodeId s : slow_rng.sample(everyone, num_slow)) {
-      topts.node_bandwidth_bps[s] = config.slow_bandwidth_bps;
-    }
-  }
-  const wire::WireCodec wire_codec;
-  if (config.use_wire_codec) topts.codec = &wire_codec;
-  // sharded: the constructor's simulator is only the unsharded fallback;
-  // bind_shards() switches every per-node schedule to the shard sims and
-  // splits the transport's accounting and RNG per shard/node.
-  net::Transport transport(world.shard(0), latency, config.num_nodes, topts,
-                           root.split(0x7472616eULL));
-  transport.bind_shards(world, shard_latency);
-
-  // Shared oracle components. sharded: radius/hybrid metric() queries run
-  // on shard worker threads, so with on-demand paths each shard's nodes
-  // read a monitor over their shard's private latency replica.
-  std::deque<core::OracleLatencyMonitor> oracle_monitors;
-  if (ondemand_paths) {
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      oracle_monitors.emplace_back(shard_latency_models[s]);
-    }
-  } else {
-    oracle_monitors.emplace_back(latency);
-  }
-  core::DistanceMonitor distance_monitor(topo.client_coords);
-  core::StaticBestSet static_best(oracle_best);
-
-  // --- 2. Per-node stacks ---------------------------------------------------
-  struct MsgRecord {
-    std::uint32_t deliveries = 0;
-    std::uint32_t live_at_send = 0;
-    stats::RunningStat latency_ms;  // non-origin deliveries
-  };
-  std::vector<MsgRecord> messages(num_messages);
-  stats::Samples all_latency_ms;
-
-  // sharded: every mutable accumulator a node callback touches splits per
-  // shard. Order-insensitive counters merge by summation afterwards;
-  // order-sensitive ones (the latency Samples/RunningStat) are logged per
-  // shard and replayed in canonical order after the run.
-  struct DeliveryRec {
-    SimTime at = 0;
-    NodeId node = kInvalidNode;
-    std::uint32_t seq = 0;
-    SimTime latency = 0;
-    bool on_topic = true;
-    bool origin = false;
-  };
-  std::vector<std::vector<DeliveryRec>> delivery_log(num_shards);
-  std::vector<std::vector<std::uint32_t>> payload_tx(
-      num_shards, std::vector<std::uint32_t>(num_messages, 0));
-  std::deque<obs::GoodputTracker> goodputs;
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    goodputs.emplace_back(config.warmup);
-  }
-  // sharded: one message arena per shard. MsgIds are global, the interned
-  // MsgKeys are shard-local — nothing ever compares keys across shards.
-  std::deque<core::MessageArena> arenas(num_shards);
-  for (core::MessageArena& arena : arenas) arena.reserve(num_messages);
-
-  std::vector<std::uint32_t> msg_topic(
-      use_workload ? num_messages : 0, load::kNoTopic);
-  std::vector<compact::DynamicBitset> topic_member(plan.topic_members.size());
-  for (std::size_t t = 0; t < plan.topic_members.size(); ++t) {
-    for (const NodeId m : plan.topic_members[t]) topic_member[t].set(m);
-  }
-  if (use_workload) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      msg_topic[i] = plan.arrivals[i].topic;
-    }
-  }
-
-  std::vector<std::unique_ptr<NodeStack>> nodes;
-  nodes.reserve(config.num_nodes);
-
-  std::vector<double> closeness_score(config.num_nodes, 0.0);
-  if (use_gossip_rank) {
-    for (NodeId n = 0; n < config.num_nodes; ++n) {
-      closeness_score[n] = -closeness_sums[n];
-    }
-  }
-
-  overlay::CsrAdjacency static_adj;
-  if (config.overlay_kind == OverlayKind::static_random) {
-    static_adj = overlay::CsrAdjacency::from_lists(
-        overlay::build_symmetric_overlay(config.num_nodes,
-                                         config.overlay.view_size,
-                                         root.split(0x73746174ULL)));
-  }
-
-  const std::size_t expected_window =
-      config.message_lifetime > 0 && effective_interval > 0
-          ? std::min<std::size_t>(
-                num_messages,
-                static_cast<std::size_t>(config.message_lifetime /
-                                         effective_interval) +
-                    16)
-          : num_messages;
-
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    auto stack = std::make_unique<NodeStack>();
-    Rng node_rng = root.split(0x100000ULL + id);
-    // sharded: everything this node schedules lives on its shard's sim.
-    sim::Simulator& nsim = world.shard_for(id);
-    const std::uint32_t shard = world.shard_of(id);
-    obs::GoodputTracker* const gp = &goodputs[shard];
-
-    switch (config.overlay_kind) {
-      case OverlayKind::static_random:
-        stack->static_sampler =
-            std::make_unique<overlay::StaticNeighborSampler>(
-                static_adj, id, node_rng.split(1));
-        stack->sampler = stack->static_sampler.get();
-        break;
-      case OverlayKind::oracle:
-        stack->oracle_sampler =
-            std::make_unique<overlay::FullMembershipSampler>(
-                transport, id, node_rng.split(1));
-        stack->sampler = stack->oracle_sampler.get();
-        break;
-      case OverlayKind::hyparview: {
-        overlay::HyParViewParams hpv;
-        hpv.active_size = config.overlay.view_size;
-        stack->hyparview = std::make_unique<overlay::HyParViewNode>(
-            nsim, transport, id, hpv, node_rng.split(1));
-        stack->sampler = stack->hyparview.get();
-        break;
-      }
-      case OverlayKind::neem: {
-        overlay::NeemParams np;
-        np.target_degree = config.overlay.view_size;
-        np.max_degree = config.overlay.view_size + config.overlay.view_size / 3;
-        stack->neem = std::make_unique<overlay::NeemNode>(
-            nsim, transport, id, np, node_rng.split(1));
-        stack->sampler = stack->neem.get();
-        break;
-      }
-      case OverlayKind::cyclon:
-        stack->cyclon = std::make_unique<overlay::CyclonNode>(
-            nsim, transport, id, config.overlay, node_rng.split(1));
-        stack->sampler = stack->cyclon.get();
-        break;
-    }
-
-    const core::PerformanceMonitor* monitor = nullptr;
-    if (needs_monitor) {
-      switch (config.strategy.monitor) {
-        case MonitorKind::oracle_latency:
-          monitor = &oracle_monitors[ondemand_paths ? shard : 0];
-          break;
-        case MonitorKind::distance:
-          monitor = &distance_monitor;
-          break;
-        case MonitorKind::ping:
-          stack->ping = std::make_unique<core::PingMonitor>(
-              nsim, transport, id, *stack->sampler,
-              core::PingMonitor::Params{}, node_rng.split(2));
-          monitor = stack->ping.get();
-          break;
-        case MonitorKind::piggyback:
-          stack->piggyback = std::make_unique<core::PiggybackMonitor>(id);
-          monitor = stack->piggyback.get();
-          break;
-      }
-    }
-
-    const core::BestSet* best = nullptr;
-    if (needs_best) {
-      if (use_gossip_rank) {
-        stack->rank_estimator = std::make_unique<rank::GossipRankEstimator>(
-            nsim, transport, id, *stack->sampler, closeness_score[id],
-            config.strategy.best_fraction, rank::RankParams{},
-            node_rng.split(3));
-        best = stack->rank_estimator.get();
-      } else {
-        best = &static_best;
-      }
-    }
-
-    stack->strategy =
-        make_strategy(config, id, monitor, best, node_rng.split(4));
-    // sharded: no noise wrapper — strategy.noise is gated above. The
-    // split(5) the legacy assembly would consume is skipped on both
-    // engines only when noise is off, so the streams still line up.
-
-    NodeStack* raw = stack.get();
-    stack->scheduler = std::make_unique<core::PayloadScheduler>(
-        nsim, transport, id, *stack->strategy,
-        [raw](const core::AppMessage& msg, Round round, NodeId src) {
-          raw->gossip->l_receive(msg, round, src);
-        },
-        &arenas[shard]);
-    stack->scheduler->reserve(expected_window);
-    stack->scheduler->set_ihave_batch_window(config.ihave_batch_window);
-    stack->scheduler->set_pull_order(config.pull_sched);
-    if (config.backpressure) {
-      core::PayloadScheduler::BackpressureConfig bp;
-      bp.enabled = true;
-      bp.max_replies_per_dst = config.bp_max_replies_per_dst;
-      bp.readvertise_delay = config.retransmission_period;
-      stack->scheduler->set_backpressure(bp);
-      stack->scheduler->set_backpressure_listener(
-          [gp](core::PayloadScheduler::BpEvent event) {
-            if (event == core::PayloadScheduler::BpEvent::kEagerDeferred) {
-              gp->on_defer();
-            } else if (event ==
-                       core::PayloadScheduler::BpEvent::kDropReadvertised) {
-              gp->on_drop_recovery();
-            }
-          });
-    }
-    if (stack->piggyback) {
-      core::PiggybackMonitor* piggyback = stack->piggyback.get();
-      stack->scheduler->set_rtt_observer(
-          [piggyback](NodeId peer, SimTime rtt) {
-            piggyback->observe(peer, rtt);
-          });
-    }
-    std::vector<std::uint32_t>* const tx = &payload_tx[shard];
-    stack->scheduler->set_send_listener(
-        [tx, gp](const core::AppMessage& msg, NodeId /*dst*/,
-                 bool /*eager*/) {
-          if (msg.seq < tx->size()) ++(*tx)[msg.seq];
-          gp->on_payload();
-        });
-
-    core::GossipParams gossip_params = config.gossip;
-    if (config.adaptive_fanout) {
-      double mean_bw = 0.0;
-      for (NodeId n = 0; n < config.num_nodes; ++n) {
-        mean_bw += static_cast<double>(transport.node_bandwidth(n));
-      }
-      mean_bw /= static_cast<double>(config.num_nodes);
-      if (mean_bw > 0.0) {
-        const double scaled =
-            static_cast<double>(config.gossip.fanout) *
-            static_cast<double>(transport.node_bandwidth(id)) / mean_bw;
-        gossip_params.fanout = static_cast<std::uint32_t>(std::clamp(
-            std::lround(scaled), 3L,
-            2L * static_cast<long>(config.gossip.fanout)));
-      }
-    }
-    std::vector<DeliveryRec>* const log = &delivery_log[shard];
-    sim::Simulator* const nsp = &nsim;
-    stack->gossip = std::make_unique<core::GossipNode>(
-        id, gossip_params, *stack->sampler, *stack->scheduler,
-        [log, gp, nsp, id, &msg_topic,
-         &topic_member](const core::AppMessage& msg) {
-          const std::uint32_t topic =
-              msg.seq < msg_topic.size() ? msg_topic[msg.seq]
-                                         : load::kNoTopic;
-          const bool on_topic =
-              topic == load::kNoTopic || topic_member[topic].test(id);
-          if (on_topic) gp->on_delivery(nsp->now());
-          log->push_back({nsp->now(), id, msg.seq,
-                          nsp->now() - msg.multicast_time, on_topic,
-                          msg.origin == id});
-        },
-        node_rng.split(6));
-
-    nodes.push_back(std::move(stack));
-  }
-
-  // Packet mux: overlay -> ping -> rank -> scheduler.
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    NodeStack* stack = nodes[id].get();
-    transport.register_handler(
-        id, [stack](NodeId src, const net::PacketPtr& packet) {
-          if (stack->cyclon && stack->cyclon->handle_packet(src, packet)) return;
-          if (stack->hyparview && stack->hyparview->handle_packet(src, packet)) {
-            return;
-          }
-          if (stack->neem && stack->neem->handle_packet(src, packet)) return;
-          if (stack->ping && stack->ping->handle_packet(src, packet)) return;
-          if (stack->rank_estimator &&
-              stack->rank_estimator->handle_packet(src, packet)) {
-            return;
-          }
-          if (stack->scheduler->handle_packet(src, packet)) return;
-        });
-  }
-
-  if (config.backpressure && config.egress_buffer_bytes > 0) {
-    // sharded: both listeners fire on the *source* node's shard thread
-    // (send/drain/purge are src-side operations), so touching the source
-    // shard's goodput tracker and the source's scheduler is race-free.
-    transport.set_watermark_listener(
-        [&nodes, &goodputs, &world](NodeId src, bool above_high) {
-          goodputs[world.shard_of(src)].on_watermark(
-              world.shard_for(src).now(), above_high);
-          nodes[src]->scheduler->set_congested(above_high);
-        });
-    transport.set_purge_listener(
-        [&nodes](NodeId src, NodeId dst, const net::PacketPtr& packet,
-                 bool /*is_payload*/) {
-          nodes[src]->scheduler->on_egress_purge(dst, *packet);
-        });
-  }
-
-  // --- 3. Bootstrap + warm-up ------------------------------------------------
-  if (config.overlay_kind == OverlayKind::cyclon) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < config.overlay.view_size &&
-             contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
-      }
-      nodes[id]->cyclon->bootstrap(contacts);
-      nodes[id]->cyclon->start();
-    }
-  } else if (config.overlay_kind == OverlayKind::neem) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < 5 && contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
-      }
-      nodes[id]->neem->bootstrap(contacts);
-      nodes[id]->neem->start();
-    }
-  } else if (config.overlay_kind == OverlayKind::hyparview) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      nodes[id]->hyparview->start();
-      if (id == 0) continue;
-      const NodeId contact = static_cast<NodeId>(boot.below(id));
-      const SimTime when = 50 * kMillisecond * id;
-      ESM_CHECK(when < config.warmup, "warmup too short for staggered joins");
-      overlay::HyParViewNode* hpv = nodes[id]->hyparview.get();
-      world.shard_for(id).schedule_at(when, [hpv, contact] {
-        hpv->join(contact);
-      });
-    }
-  }
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    if (nodes[id]->ping) nodes[id]->ping->start();
-    if (nodes[id]->rank_estimator) nodes[id]->rank_estimator->start();
-  }
-  world.run_until(config.warmup);
-
-  // --- 4. Failure injection ---------------------------------------------------
-  // sharded: kills execute on this thread between run_until() segments,
-  // when no worker is running — the same silence() calls as the legacy
-  // engine, just never concurrent with event execution.
-  std::vector<bool> dead(config.num_nodes, false);
-  const auto num_kill = static_cast<std::uint32_t>(std::lround(
-      config.kill_fraction * static_cast<double>(config.num_nodes)));
-  if (num_kill > 0 && config.kill_mode != KillMode::none) {
-    std::vector<NodeId> victims;
-    if (config.kill_mode == KillMode::random) {
-      std::vector<NodeId> everyone(config.num_nodes);
-      std::iota(everyone.begin(), everyone.end(), 0);
-      Rng killer = root.split(0x6b696c6cULL);
-      victims = killer.sample(everyone, num_kill);
-    } else {  // best_ranked: exactly the biggest contributors (§6.3)
-      victims.assign(closeness_order.begin(),
-                     closeness_order.begin() +
-                         std::min<std::uint32_t>(num_kill, config.num_nodes));
-    }
-    for (const NodeId v : victims) {
-      transport.silence(v);
-      dead[v] = true;
-    }
-  }
-  std::vector<NodeId> live;
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    if (!dead[id]) live.push_back(id);
-  }
-  ESM_CHECK(!live.empty(), "all nodes were killed");
-
-  // --- 5. Traffic --------------------------------------------------------------
-  transport.reset_stats();  // sharded: every slot, not just slot 0
-  transport.reset_egress_stats();
-
-  // sharded: with churn and scenarios gated the silenced set is frozen
-  // from here on, so the legacy fire-time sender fall-forward resolves to
-  // the same node at scheduling time — each multicast is scheduled
-  // directly onto its resolved sender's shard.
-  struct ActiveMsg {
-    SimTime at = 0;
-    std::uint32_t seq = 0;
-    MsgId id{};
-  };
-  std::vector<std::deque<ActiveMsg>> active_messages(num_shards);
-  SimTime last_send = config.warmup;
-  auto schedule_multicast = [&](std::uint32_t i, NodeId sender,
-                                std::uint32_t bytes, std::uint32_t audience,
-                                SimTime when) {
-    messages[i].live_at_send = audience;
-    sim::Simulator* const ssim = &world.shard_for(sender);
-    obs::GoodputTracker* const gp = &goodputs[world.shard_of(sender)];
-    std::deque<ActiveMsg>* const active =
-        &active_messages[world.shard_of(sender)];
-    core::GossipNode* const gossip = nodes[sender]->gossip.get();
-    ssim->schedule_at(when, [ssim, gp, active, gossip, bytes, i, audience] {
-      gp->on_offered(ssim->now(), audience);
-      const core::AppMessage msg = gossip->multicast(bytes, i, ssim->now());
-      active->push_back({ssim->now(), i, msg.id});
-    });
-  };
-  if (use_workload) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      const load::Arrival& arr = plan.arrivals[i];
-      const SimTime when = config.warmup + arr.at;
-      last_send = std::max(last_send, when);
-      NodeId sender = arr.origin;
-      std::uint32_t audience = 0;
-      if (arr.topic != load::kNoTopic) {
-        const std::vector<NodeId>& pool = plan.topic_members[arr.topic];
-        std::size_t idx = arr.origin_index % pool.size();
-        for (std::size_t step = 0;
-             transport.is_silenced(pool[idx]) && step < pool.size();
-             ++step) {
-          idx = (idx + 1) % pool.size();
-        }
-        sender = pool[idx];
-        for (const NodeId m : pool) {
-          if (!transport.is_silenced(m)) ++audience;
-        }
-      } else {
-        for (std::uint32_t step = 0;
-             transport.is_silenced(sender) && step < config.num_nodes;
-             ++step) {
-          sender = (sender + 1) % config.num_nodes;
-        }
-        audience = static_cast<std::uint32_t>(live.size());
-      }
-      if (transport.is_silenced(sender)) continue;  // whole pool down
-      const std::uint32_t bytes =
-          arr.payload_bytes != 0 ? arr.payload_bytes : config.payload_bytes;
-      schedule_multicast(i, sender, bytes, audience, when);
-    }
-  } else {
-    Rng traffic = root.split(0x74726166ULL);
-    SimTime t = config.warmup;
-    if (config.single_sender != kInvalidNode) {
-      ESM_CHECK(config.single_sender < config.num_nodes &&
-                    !dead[config.single_sender],
-                "single sender must be a live node");
-    }
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      t += traffic.range(0, 2 * config.mean_interval);
-      last_send = t;
-      // Senders drawn from the live list are never silenced (no churn),
-      // so the legacy fall-forward is the identity here.
-      const NodeId sender = config.single_sender != kInvalidNode
-                                ? config.single_sender
-                                : live[i % live.size()];
-      schedule_multicast(i, sender, config.payload_bytes,
-                         static_cast<std::uint32_t>(live.size()), t);
-    }
-  }
-
-  // Optional garbage collection. sharded: a control-sim event — it runs
-  // on the coordinator with every worker parked at the window barrier, so
-  // sweeping all shards' protocol state from here is race-free. Expired
-  // entries merge in (time, seq) order so the collection sequence is
-  // shard-count invariant.
-  std::uint64_t gc_collected = 0;
-  sim::PeriodicTimer gc_timer(world.control(), [&] {
-    if (config.message_lifetime <= 0) return;
-    std::vector<ActiveMsg> expired;
-    const SimTime gc_now = world.control().now();
-    for (std::deque<ActiveMsg>& shard_active : active_messages) {
-      while (!shard_active.empty() &&
-             shard_active.front().at + config.message_lifetime < gc_now) {
-        expired.push_back(shard_active.front());
-        shard_active.pop_front();
-      }
-    }
-    if (expired.empty()) return;
-    std::sort(expired.begin(), expired.end(),
-              [](const ActiveMsg& a, const ActiveMsg& b) {
-                return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-              });
-    gc_collected += expired.size();
-    std::vector<MsgId> ids;
-    ids.reserve(expired.size());
-    for (const ActiveMsg& m : expired) ids.push_back(m.id);
-    for (const auto& stack : nodes) {
-      stack->gossip->garbage_collect(ids);
-      stack->scheduler->garbage_collect(ids);
-    }
-  });
-  if (config.message_lifetime > 0) {
-    gc_timer.start(config.message_lifetime, config.message_lifetime / 2);
-  }
-
-  // Connection census (§5.4). sharded: control-sim event, same reasoning
-  // as the GC sweep.
-  std::uint64_t peak_simultaneous = 0;
-  sim::PeriodicTimer census_timer(world.control(), [&] {
-    std::uint64_t endpoints = 0;
-    for (const auto& stack : nodes) {
-      if (stack->neem) endpoints += stack->neem->connections().size();
-    }
-    peak_simultaneous = std::max(peak_simultaneous, endpoints / 2);
-  });
-  if (config.overlay_kind == OverlayKind::neem) {
-    census_timer.start(0, 1 * kSecond);
-  }
-
-  world.run_until(last_send + config.drain);
-  gc_timer.stop();
-  census_timer.stop();
-
-  // --- 6. Aggregate --------------------------------------------------------------
-  ExperimentResult result;
-  result.live_nodes = static_cast<std::uint32_t>(live.size());
-  result.events_executed = world.events_executed();
-
-  // sharded: replay the delivery logs in canonical (time, node) order.
-  // Entries sharing a (time, node) pair come from a single shard's log in
-  // its execution order, so a stable sort yields one global order that
-  // does not depend on the shard count; the order-sensitive accumulators
-  // (Samples quantiles, RunningStat) consume it exactly once.
-  std::vector<DeliveryRec> replay;
-  std::size_t total_recs = 0;
-  for (const auto& log : delivery_log) total_recs += log.size();
-  replay.reserve(total_recs);
-  for (const auto& log : delivery_log) {
-    replay.insert(replay.end(), log.begin(), log.end());
-  }
-  std::stable_sort(replay.begin(), replay.end(),
-                   [](const DeliveryRec& a, const DeliveryRec& b) {
-                     return a.at != b.at ? a.at < b.at : a.node < b.node;
-                   });
-  std::uint64_t offtopic_deliveries = 0;
-  for (const DeliveryRec& rec : replay) {
-    if (!rec.on_topic) {
-      ++offtopic_deliveries;
-      continue;
-    }
-    MsgRecord& m = messages.at(rec.seq);
-    ++m.deliveries;
-    if (!rec.origin) {
-      const double ms = to_ms(rec.latency);
-      m.latency_ms.add(ms);
-      all_latency_ms.add(ms);
-    }
-  }
-
-  stats::RunningStat per_msg_latency;
-  stats::RunningStat delivery_fraction;
-  std::uint64_t total_deliveries = 0;
-  std::uint32_t atomic = 0;
-  result.expected_deliveries.reserve(messages.size());
-  for (const MsgRecord& rec : messages) {
-    total_deliveries += rec.deliveries;
-    const std::uint32_t denom =
-        rec.live_at_send > 0 ? rec.live_at_send
-                             : static_cast<std::uint32_t>(live.size());
-    result.expected_deliveries.push_back(denom);
-    delivery_fraction.add(std::min(
-        1.0, static_cast<double>(rec.deliveries) / static_cast<double>(denom)));
-    if (rec.deliveries >= denom) ++atomic;
-    if (rec.latency_ms.count() > 0) per_msg_latency.add(rec.latency_ms.mean());
-  }
-  result.mean_latency_ms = all_latency_ms.mean();
-  result.latency_ci95_ms = per_msg_latency.ci95_half_width();
-  result.p50_latency_ms = all_latency_ms.quantile(0.50);
-  result.p95_latency_ms = all_latency_ms.quantile(0.95);
-  result.mean_delivery_fraction = delivery_fraction.mean();
-  result.delivery_ci95 = delivery_fraction.ci95_half_width();
-  result.atomic_delivery_fraction =
-      static_cast<double>(atomic) / static_cast<double>(num_messages);
-
-  // sharded: run-wide traffic view = sum of the per-shard slots.
-  const net::TrafficStats tstats = transport.merged_stats();
-  result.payload_packets = tstats.total_payload_packets();
-  result.control_packets = tstats.total_packets() - tstats.total_payload_packets();
-  result.total_bytes = tstats.total_bytes();
-  result.packets_lost = transport.packets_lost();
-  result.buffer_drops = transport.buffer_drops();
-
-  // sharded: fold the per-shard goodput trackers into one before
-  // finalizing (summed counters/buckets; watermark clocks joined).
-  for (std::uint32_t s = 1; s < num_shards; ++s) {
-    goodputs.front().merge(goodputs[s]);
-  }
-  const obs::GoodputReport gp = goodputs.front().finalize(world.now());
-  result.offered_msgs = gp.offered_msgs;
-  result.offered_msgs_per_s = gp.offered_msgs_per_s;
-  result.goodput_msgs_per_s = gp.goodput_msgs_per_s;
-  result.redundancy_ratio = gp.redundancy_ratio;
-  result.knee_time_ms = gp.knee_time_ms;
-  result.offtopic_deliveries = offtopic_deliveries;
-  const net::Transport::EgressStats egress_totals = transport.egress_totals();
-  result.egress_serialized_packets = egress_totals.serialized_packets;
-  if (egress_totals.serialized_packets > 0) {
-    result.egress_queue_delay_mean_ms =
-        static_cast<double>(egress_totals.total_sojourn_us) /
-        static_cast<double>(egress_totals.serialized_packets) / 1000.0;
-  }
-  result.egress_queue_delay_max_ms =
-      static_cast<double>(egress_totals.max_sojourn_us) / 1000.0;
-  result.egress_peak_depth = egress_totals.peak_depth;
-  result.egress_peak_queued_bytes = egress_totals.peak_queued_bytes;
-  for (const auto& stack : nodes) {
-    const core::SchedulerStats& ss = stack->scheduler->stats();
-    result.eager_deferred += ss.eager_deferred;
-    result.replies_deferred += ss.replies_deferred;
-    result.drops_readvertised += ss.drops_readvertised;
-    result.iwants_purged += ss.iwants_purged;
-  }
-  result.watermark_episodes = gp.watermark_episodes;
-  result.watermark_residency_ms = gp.watermark_residency_ms;
-
-  result.payload_per_delivery =
-      total_deliveries == 0
-          ? 0.0
-          : static_cast<double>(result.payload_packets) /
-                static_cast<double>(total_deliveries);
-
-  // sharded: same reporting split as legacy; see the comment there.
-  const double report_fraction = config.report_best_fraction > 0.0
-                                     ? config.report_best_fraction
-                                     : config.strategy.best_fraction;
-  const auto report_best = static_cast<std::uint32_t>(std::lround(
-      report_fraction * static_cast<double>(config.num_nodes)));
-  std::vector<bool> is_best(config.num_nodes, false);
-  for (std::uint32_t i = 0;
-       i < report_best && i < closeness_order.size(); ++i) {
-    is_best[closeness_order[i]] = true;
-  }
-  stats::RunningStat all_load, low_load, best_load;
-  for (const NodeId id : live) {
-    const double per_msg =
-        static_cast<double>(tstats.node_sent_payload(id)) /
-        static_cast<double>(num_messages);
-    all_load.add(per_msg);
-    if (needs_best && is_best[id]) {
-      best_load.add(per_msg);
-    } else {
-      low_load.add(per_msg);
-    }
-  }
-  result.load_all = {all_load.mean(),
-                     static_cast<std::uint32_t>(all_load.count())};
-  result.load_low = {low_load.mean(),
-                     static_cast<std::uint32_t>(low_load.count())};
-  result.load_best = {best_load.mean(),
-                      static_cast<std::uint32_t>(best_load.count())};
-
-  result.top5_connection_share = tstats.top_connection_payload_share(0.05);
-  result.connection_payloads = tstats.undirected_payload_counts();
-  // sharded: the legacy sort keeps equal-count ties in hash-map iteration
-  // order, which here depends on the shard partition (merged_stats()
-  // rebuilds the link map shard by shard) — break ties by endpoint so the
-  // vector is identical at every shard count.
-  std::sort(result.connection_payloads.begin(),
-            result.connection_payloads.end(), [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  result.node_payloads.resize(config.num_nodes);
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    result.node_payloads[id] = tstats.node_sent_payload(id);
-  }
-  result.client_coords = topo.client_coords;
-  if (needs_best) result.best_nodes = oracle_best;
-
-  for (const MsgRecord& rec : messages) {
-    ESM_CHECK(rec.deliveries <= config.num_nodes,
-              "a node delivered the same message twice");
-  }
-
-  std::uint64_t dups = 0, reqs = 0, prunes = 0;
-  std::uint64_t retries = 0, gave_up = 0, still_pending = 0;
-  for (const auto& stack : nodes) {
-    dups += stack->scheduler->stats().duplicate_payloads;
-    reqs += stack->scheduler->stats().requests_sent;
-    prunes += stack->scheduler->stats().prunes_sent;
-    retries += stack->scheduler->stats().iwant_retries;
-    gave_up += stack->scheduler->stats().recovery_gave_up;
-    still_pending += stack->scheduler->pending_requests();
-  }
-  result.duplicate_payloads = dups;
-  result.requests_sent = reqs;
-  result.prunes_sent = prunes;
-  result.iwant_retries = retries;
-  result.recovery_gave_up = gave_up;
-  result.recovery_stalled = gave_up + still_pending;
-  // sharded: per-shard send counters sum into the run-wide vector.
-  std::vector<std::uint32_t> payload_tx_per_message(num_messages, 0);
-  for (const std::vector<std::uint32_t>& shard_tx : payload_tx) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      payload_tx_per_message[i] += shard_tx[i];
-    }
-  }
-  result.payload_tx_per_message = std::move(payload_tx_per_message);
-  result.peak_simultaneous_connections = peak_simultaneous;
-  for (const auto& stack : nodes) {
-    if (stack->neem) {
-      result.connections_opened += stack->neem->connections_opened();
-    }
-  }
-  result.connections_opened /= 2;
-  result.messages_garbage_collected = gc_collected;
-  for (const auto& stack : nodes) {
-    result.max_known_messages =
-        std::max(result.max_known_messages, stack->gossip->known_count());
-  }
-  result.mean_eager_rate_estimate = std::numeric_limits<double>::quiet_NaN();
-
-  // sharded: the replicas hold most of the resident rows; report the
-  // whole run's footprint and work.
-  result.path_model_bytes = metrics.memory_bytes();
-  result.path_rows_computed = metrics.rows_computed();
-  result.path_row_evictions = metrics.row_evictions();
-  for (const auto& replica : shard_paths) {
-    result.path_model_bytes += replica->memory_bytes();
-    result.path_rows_computed += replica->rows_computed();
-    result.path_row_evictions += replica->row_evictions();
-  }
-
-  // sharded: conservative-window execution accounting. Windows/mailbox
-  // counters and the lookahead are deterministic; the busy/wait wall-clock
-  // split is a diagnostic that varies run to run.
-  const sim::ShardedSimulator::Stats shard_stats = world.stats();
-  result.shards_used = num_shards;
-  result.shard_windows = shard_stats.windows;
-  result.shard_mailbox_packets = shard_stats.mailbox_packets;
-  result.shard_mailbox_bytes = shard_stats.mailbox_bytes;
-  result.shard_lookahead_ms = to_ms(lookahead);
-  for (std::uint64_t ns : shard_stats.busy_ns) {
-    result.shard_busy_ms += static_cast<double>(ns) / 1e6;
-  }
-  for (std::uint64_t ns : shard_stats.wait_ns) {
-    result.shard_barrier_wait_ms += static_cast<double>(ns) / 1e6;
-  }
-  if (config.collect_metrics) {
-    // The sharded metrics JSON carries only the execution block; per-node
-    // lifecycle instrumentation stays a single-threaded feature.
-    auto run_metrics = std::make_shared<obs::RunMetrics>();
-    obs::MetricsRegistry& agg = run_metrics->aggregate;
-    agg.add_counter("sim.shard.windows", shard_stats.windows);
-    agg.add_counter("sim.shard.mailbox_packets", shard_stats.mailbox_packets);
-    agg.add_counter("sim.shard.mailbox_bytes", shard_stats.mailbox_bytes);
-    agg.gauge_max("sim.shard.count", static_cast<double>(num_shards));
-    agg.gauge_max("sim.shard.lookahead_us", static_cast<double>(lookahead));
-    agg.gauge_max("sim.shard.busy_ms", result.shard_busy_ms);
-    agg.gauge_max("sim.shard.barrier_wait_ms", result.shard_barrier_wait_ms);
-    result.metrics = std::move(run_metrics);
-  }
+  engine_.report(result, run_metrics_.get());
+  result.metrics = run_metrics_;
   return result;
 }
 
 }  // namespace
+
+ExperimentResult run_experiment(const ExperimentConfig& config) {
+  return Assembly(config).run();
+}
 
 }  // namespace esm::harness

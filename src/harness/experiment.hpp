@@ -2,18 +2,22 @@
 // stacks for every node, runs the paper's traffic pattern, and extracts the
 // metrics reported in §6.
 //
-// Phases:
-//   1. build topology, route client latency matrix, rank nodes;
-//   2. bootstrap the overlay; start shuffling / monitors / rank gossip;
-//   3. warm up (paper: nodes "join the overlay and warm up");
-//   4. optionally silence a fraction of nodes (§6.3);
-//   5. reset traffic counters, multicast num_messages from live senders in
-//      round-robin with uniform random spacing (§5.3), then drain;
-//   6. aggregate deliveries, latency, payload counts, structure measures.
+// Stages, the same at every shard count:
+//   1. build world: topology, path metrics, node ranking, transport;
+//   2. build node stacks; 3. wire the packet mux and listeners;
+//   4. bootstrap the overlay, warm up (paper: nodes "join the overlay and
+//      warm up"), then optionally silence a fraction of nodes (§6.3);
+//   5. reset traffic counters, schedule num_messages multicasts from live
+//      senders in round-robin with uniform random spacing (§5.3);
+//   6. run through the drain;
+//   7. finalize: deliveries, latency, payload counts, structure measures.
+// One assembly, two event orders: shards == 1 runs one FIFO simulator,
+// shards >= 2 the conservative-window sharded engine.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "harness/config.hpp"
@@ -193,7 +197,16 @@ struct ExperimentResult {
 };
 
 /// Runs one experiment. Deterministic given the config (including seed).
+/// Throws esm::CheckFailure when shard_gate_error(config) is non-empty.
 ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// Empty when `config` can run at its shard count; otherwise a one-line
+/// reason naming --shards. Scenario scripts, churn, strategy noise, traces
+/// and tree stats need shards == 1. `scenario_file` marks a scenario
+/// script that is named but not loaded into `config` yet (the CLI parses
+/// paths before it reads files).
+std::string shard_gate_error(const ExperimentConfig& config,
+                             bool scenario_file = false);
 
 /// Ranks nodes by closeness centrality over the path model (lower mean
 /// latency to all others = better), best first. This is the oracle node

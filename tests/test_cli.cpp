@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
+
 namespace esm::harness {
 namespace {
 
@@ -203,6 +205,30 @@ TEST(Cli, ShardsSweepParam) {
   EXPECT_TRUE(apply_sweep_param(config, "shards", 8.0, error));
   EXPECT_EQ(config.shards, 8u);
   EXPECT_FALSE(apply_sweep_param(config, "shards", 0.0, error));
+}
+
+TEST(Cli, SweepPointsMeetShardGates) {
+  // A sweep point can enter a gated combination its parsed base config was
+  // not in. apply_sweep_param rejects it before any point runs, with the
+  // same line parse_cli and run_experiment use.
+  std::string error;
+  const auto churn = parse({"--churn", "2"});
+  ASSERT_TRUE(churn);
+  ExperimentConfig c = churn->config;
+  EXPECT_TRUE(apply_sweep_param(c, "shards", 1.0, error));
+  EXPECT_FALSE(apply_sweep_param(c, "shards", 2.0, error));
+  EXPECT_NE(error.find("--shards"), std::string::npos);
+  EXPECT_NE(error.find("--churn"), std::string::npos);
+  EXPECT_EQ(error, shard_gate_error(c));
+  EXPECT_THROW(run_experiment(c), CheckFailure);
+
+  const auto sharded = parse({"--shards", "2"});
+  ASSERT_TRUE(sharded);
+  c = sharded->config;
+  EXPECT_TRUE(apply_sweep_param(c, "noise", 0.0, error));
+  EXPECT_FALSE(apply_sweep_param(c, "noise", 0.5, error));
+  EXPECT_NE(error.find("--shards"), std::string::npos);
+  EXPECT_NE(error.find("--noise"), std::string::npos);
 }
 
 TEST(Cli, ScenarioFlagStoresPath) {

@@ -421,20 +421,50 @@ TEST(Equivalence, JobsInvarianceBackpressureModes) {
 
 // --- sharded engine: shard-count × jobs invariance matrix -----------------
 
+/// The deterministic part of a sharded run's metrics document: every key
+/// except the two wall-clock gauges (busy/barrier-wait time vary run to
+/// run). A sharded run exports only the sim.shard.* block, so any other
+/// key showing up here changes the pinned value.
+std::string render_shard_metrics(const ExperimentResult& r) {
+  std::string out;
+  if (!r.metrics) return out;
+  const obs::MetricsRegistry& agg = r.metrics->aggregate;
+  for (const auto& [name, value] : agg.counters()) {
+    add(out, name.c_str(), value);
+  }
+  for (const auto& [name, value] : agg.gauges()) {
+    if (name == "sim.shard.busy_ms" || name == "sim.shard.barrier_wait_ms") {
+      continue;
+    }
+    add(out, name.c_str(), value);
+  }
+  add(out, "per_node", static_cast<std::uint64_t>(r.metrics->per_node.size()));
+  return out;
+}
+
 TEST(Equivalence, ShardCountInvarianceMatrix) {
-  // Three canned scenarios (the batching golden plus both heavy-workload
-  // goldens) × --shards {1, 2, 4, 8} × --jobs {1, 4}. The pinned
+  // Canned scenarios × --shards {1, 2, 4, 8} × --jobs {1, 4}. The pinned
   // contract:
   //   * the sharded engine (shards >= 2) is bit-identical at EVERY shard
   //     count and EVERY jobs count — one absolute fingerprint per
   //     scenario pins its canonical event order;
-  //   * shards == 1 is the legacy engine byte-for-byte (the goldens above
-  //     pin it); it may differ from the sharded engine only in
+  //   * shards == 1 is the single-threaded engine, pinned by its own
+  //     fingerprint; it may differ from the sharded engine only in
   //     same-microsecond arrival tie ordering, so no cross-engine
-  //     equality is asserted here.
+  //     equality is asserted here;
+  //   * the shards == 2 metrics document carries exactly the pinned
+  //     deterministic sim.shard.* keys (windows, mailbox traffic,
+  //     lookahead).
+  // Beyond the batching golden and both heavy workloads, the rows cover
+  // the per-shard pieces of the assembly: the static best set over the
+  // CSR overlay, per-shard path replicas and oracle monitors (on-demand
+  // paths), HyParView joins scheduled on shard simulators, and the
+  // control-simulator GC sweep.
   struct Scenario {
     const char* label;
+    std::uint64_t single_fp;
     std::uint64_t sharded_fp;
+    std::uint64_t shard_metrics_fp;
     ExperimentConfig config;
   };
   std::vector<Scenario> scenarios;
@@ -442,18 +472,53 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     ExperimentConfig c = base100();
     c.strategy = StrategySpec::make_flat(0.2);
     c.ihave_batch_window = 20 * kMillisecond;
-    scenarios.push_back({"flat batched", 9375248610818417151ULL, c});
+    scenarios.push_back({"flat batched", 13594102927201393101ULL,
+                         9375248610818417151ULL, 1569101064123381293ULL, c});
   }
   scenarios.push_back(
-      {"heavy saturated", 7599652059359661393ULL, heavy_config()});
+      {"heavy saturated", 274683939965400477ULL, 7599652059359661393ULL,
+       14729230286221015640ULL, heavy_config()});
   {
     ExperimentConfig c = saturated_heavy_config();
     c.backpressure = true;
-    scenarios.push_back(
-        {"heavy saturated backpressure", 571881640632054520ULL, c});
+    scenarios.push_back({"heavy saturated backpressure", 8385663769898990067ULL,
+                         571881640632054520ULL, 18086768541099416422ULL, c});
+  }
+  {
+    ExperimentConfig c = base100();
+    c.strategy = StrategySpec::make_ranked(0.2);
+    c.overlay_kind = OverlayKind::static_random;
+    scenarios.push_back({"ranked oracle static", 1604900674428018904ULL,
+                         9268551740128528663ULL, 1425449851483854356ULL, c});
+  }
+  {
+    ExperimentConfig c = base100();
+    c.strategy = StrategySpec::make_hybrid(40.0, 2, 0.2);
+    c.strategy.monitor = MonitorKind::oracle_latency;
+    c.path_model = net::PathModelKind::ondemand;
+    scenarios.push_back({"hybrid oracle-latency ondemand",
+                         12159288510190596882ULL, 11655525612097669028ULL,
+                         4465278905529020624ULL, c});
+  }
+  {
+    ExperimentConfig c = base100();
+    c.strategy = StrategySpec::make_adaptive();
+    c.overlay_kind = OverlayKind::hyparview;
+    c.num_messages = 80;
+    scenarios.push_back({"adaptive hyparview", 7881414475447806568ULL,
+                         8178467499354249240ULL, 14418830659626148297ULL, c});
+  }
+  {
+    ExperimentConfig c = base100();
+    c.strategy = StrategySpec::make_flat(0.0);
+    c.loss_rate = 0.15;
+    c.message_lifetime = 20 * kSecond;
+    scenarios.push_back({"lossy gc", 17866614813319905191ULL,
+                         15975168835108458281ULL, 3203494203194872668ULL, c});
   }
   const auto full_print = [](const ExperimentResult& r) {
-    return fnv1a(render(r) + render_goodput(r) + render_backpressure(r));
+    return fnv1a(render(r) + render_goodput(r) + render_backpressure(r) +
+                 render_shard_metrics(r));
   };
   const std::uint32_t shard_counts[] = {1, 2, 4, 8};
   for (const Scenario& sc : scenarios) {
@@ -461,6 +526,7 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     for (const std::uint32_t shards : shard_counts) {
       ExperimentConfig c = sc.config;
       c.shards = shards;
+      c.collect_metrics = shards >= 2;
       configs.push_back(c);
     }
     // jobs=4 over sharded runs is the composition case: worker threads of
@@ -473,15 +539,27 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
           << sc.label << ": shards=" << shard_counts[i]
           << " differs across --jobs";
     }
+    // Mailbox traffic depends on where the shard boundaries fall, so the
+    // cross-count comparison leaves the metrics block out.
+    const auto result_print = [](const ExperimentResult& r) {
+      return fnv1a(render(r) + render_goodput(r) + render_backpressure(r));
+    };
     for (std::size_t i = 2; i < serial.size(); ++i) {
-      EXPECT_EQ(full_print(serial[i]), full_print(serial[1]))
+      EXPECT_EQ(result_print(serial[i]), result_print(serial[1]))
           << sc.label << ": sharded engine differs between shards="
           << shard_counts[1] << " and shards=" << shard_counts[i];
     }
-    EXPECT_EQ(full_print(serial[1]), sc.sharded_fp)
+    EXPECT_EQ(result_print(serial[0]), sc.single_fp)
+        << sc.label << " (single-threaded engine) drifted; new rendering:\n"
+        << render(serial[0]) + render_goodput(serial[0]) +
+               render_backpressure(serial[0]);
+    EXPECT_EQ(result_print(serial[1]), sc.sharded_fp)
         << sc.label << " (sharded engine) drifted; new rendering:\n"
         << render(serial[1]) + render_goodput(serial[1]) +
                render_backpressure(serial[1]);
+    EXPECT_EQ(fnv1a(render_shard_metrics(serial[1])), sc.shard_metrics_fp)
+        << sc.label << " (shards=2 metrics) drifted; new rendering:\n"
+        << render_shard_metrics(serial[1]);
   }
 }
 
