@@ -1,346 +1,180 @@
 #include "expect/expect_text.hpp"
 
-#include <cctype>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
+
+#include "common/text_input.hpp"
 
 namespace esm::expect {
 namespace {
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::runtime_error("expectation line " + std::to_string(line_no) +
-                           ": " + what);
-}
-
-/// "2s" / "500ms" / "250us" -> SimTime. Bare numbers are an error: the
-/// unit keeps expectation files self-documenting (same rule as .scn/.wl).
-SimTime parse_time(const std::string& token, std::size_t line_no) {
-  std::size_t unit_pos = 0;
-  while (unit_pos < token.size() &&
-         (std::isdigit(static_cast<unsigned char>(token[unit_pos])) ||
-          token[unit_pos] == '.')) {
-    ++unit_pos;
-  }
-  const std::string number = token.substr(0, unit_pos);
-  const std::string unit = token.substr(unit_pos);
-  double value = 0.0;
-  try {
-    std::size_t pos = 0;
-    value = std::stod(number, &pos);
-    if (pos != number.size() || number.empty()) throw std::invalid_argument("");
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad time '" + token + "'");
-  }
-  if (value < 0.0) fail(line_no, "time must be >= 0");
-  SimTime scale = 0;
-  if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    fail(line_no, "time '" + token + "' needs a unit (us, ms or s)");
-  }
-  return static_cast<SimTime>(value * static_cast<double>(scale));
-}
-
-double parse_number(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad number '" + token + "'");
-  }
-}
-
-double parse_fraction(const std::string& token, const char* key,
-                      std::size_t line_no) {
-  const double v = parse_number(token, line_no);
+double parse_fraction(const text::Line& line, const std::string& token,
+                      const char* key) {
+  const double v = line.real(token);
   if (v < 0.0 || v > 1.0) {
-    fail(line_no, std::string(key) + " must be a fraction in [0, 1], got '" +
-                      token + "'");
+    line.fail(std::string(key) + " must be a fraction in [0, 1], got '" +
+              token + "'");
   }
   return v;
 }
 
-std::uint64_t parse_count(const std::string& token, const char* key,
-                          std::size_t line_no) {
-  const double v = parse_number(token, line_no);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    fail(line_no,
-         std::string(key) + " must be a non-negative integer, got '" + token +
-             "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-/// key=value arguments plus bare flags (tree's `complete`/`unique`).
-struct KvArgs {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  std::vector<std::string> flags;
-  std::size_t line_no = 0;
-
-  const std::string* find(const std::string& key) const {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-
-  std::string require(const std::string& key, const char* predicate) const {
-    const std::string* v = find(key);
-    if (v == nullptr) {
-      fail(line_no, std::string(predicate) + " needs " + key + "=...");
-    }
-    return *v;
-  }
-
-  bool has_flag(const std::string& flag) const {
-    for (const std::string& f : flags) {
-      if (f == flag) return true;
-    }
-    return false;
-  }
-
-  /// Rejects keys/flags outside the predicate's vocabulary so typos fail
-  /// loudly at parse time instead of silently passing.
-  void check_known(const char* predicate,
-                   std::initializer_list<const char*> keys,
-                   std::initializer_list<const char*> bare = {}) const {
-    for (const auto& [k, v] : pairs) {
-      bool known = false;
-      for (const char* key : keys) {
-        if (k == key) known = true;
-      }
-      if (!known) {
-        fail(line_no,
-             std::string(predicate) + ": unknown key '" + k + "='");
-      }
-    }
-    for (const std::string& f : flags) {
-      bool known = false;
-      for (const char* flag : bare) {
-        if (f == flag) known = true;
-      }
-      if (!known) {
-        fail(line_no, std::string(predicate) + ": unknown argument '" + f +
-                          "' (expected key=value)");
-      }
-    }
-  }
-};
-
-KvArgs parse_kv(const std::vector<std::string>& tokens, std::size_t first,
-                std::size_t line_no) {
-  KvArgs args;
-  args.line_no = line_no;
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      args.flags.push_back(tokens[i]);
-    } else if (eq == 0) {
-      fail(line_no, "expected key=value, got '" + tokens[i] + "'");
-    } else {
-      args.pairs.emplace_back(tokens[i].substr(0, eq),
-                              tokens[i].substr(eq + 1));
-    }
-  }
-  return args;
-}
-
-std::string parse_phase(const KvArgs& args) {
+std::string parse_phase(const text::Line& line, const text::KvArgs& args) {
   const std::string* v = args.find("phase");
   if (v == nullptr) return {};
-  if (v->empty()) fail(args.line_no, "phase label must not be empty");
+  if (v->empty()) line.fail("phase label must not be empty");
   if (v->find(',') != std::string::npos) {
-    fail(args.line_no,
-         "phase label must not contain commas: '" + *v + "'");
+    line.fail("phase label must not contain commas: '" + *v + "'");
   }
   return *v;
 }
 
-Cmp parse_cmp(const std::string& token, std::size_t line_no) {
-  if (token == "<=") return Cmp::le;
-  if (token == ">=") return Cmp::ge;
-  if (token == "<") return Cmp::lt;
-  if (token == ">") return Cmp::gt;
-  if (token == "==") return Cmp::eq;
-  if (token == "!=") return Cmp::ne;
-  fail(line_no, "metric: unknown comparison '" + token +
-                    "' (expected <=, >=, <, >, == or !=)");
+Cmp parse_cmp(const text::Line& line, const std::string& token) {
+  const std::pair<const char*, Cmp> cmps[] = {
+      {"<=", Cmp::le}, {">=", Cmp::ge}, {"<", Cmp::lt},
+      {">", Cmp::gt},  {"==", Cmp::eq}, {"!=", Cmp::ne}};
+  for (const auto& [symbol, cmp] : cmps) {
+    if (token == symbol) return cmp;
+  }
+  line.fail("metric: unknown comparison '" + token +
+            "' (expected <=, >=, <, >, == or !=)");
+}
+
+void parse_line(const text::Line& line, ExpectationSet& set) {
+  Expectation e;
+  e.line = line.number;
+  e.text = line.join(0);
+  const std::string& predicate = line.tokens[0];
+
+  if (predicate == "deliver") {
+    const text::KvArgs args =
+        line.kv(1, "deliver", {"min"}, {"phase", "within"});
+    e.kind = Kind::deliver;
+    e.phase = parse_phase(line, args);
+    e.min_fraction = parse_fraction(line, *args.find("min"), "min");
+    if (const std::string* w = args.find("within")) {
+      e.within = line.time(*w);
+      if (e.within <= 0) line.fail("within must be > 0");
+    }
+  } else if (predicate == "latency") {
+    const text::KvArgs args = line.kv(1, "latency", {"max"}, {"phase", "p"});
+    e.kind = Kind::latency;
+    e.phase = parse_phase(line, args);
+    if (const std::string* p = args.find("p")) {
+      if (*p == "mean") {
+        e.use_mean = true;
+      } else {
+        e.percentile = line.real(*p);
+        if (e.percentile <= 0.0 || e.percentile > 100.0) {
+          line.fail("percentile must be in (0, 100] or 'mean', got '" + *p +
+                    "'");
+        }
+      }
+    }
+    e.max_ms = to_ms(line.time(*args.find("max")));
+  } else if (predicate == "recovery") {
+    const text::KvArgs args =
+        line.kv(1, "recovery", {}, {"max_stalled", "max_gave_up",
+                                    "max_episodes", "max_iwants", "max_ms"});
+    if (args.pairs.empty()) {
+      line.fail("recovery needs at least one bound (max_stalled=, "
+                "max_gave_up=, max_episodes=, max_iwants= or max_ms=)");
+    }
+    // Each bound becomes its own expectation so every bound gets its own
+    // pass/fail row in the report.
+    for (const auto& [k, v] : args.pairs) {
+      Expectation r = e;
+      r.kind = Kind::recovery;
+      r.text = "recovery " + k + "=" + v;
+      if (k == "max_ms") {
+        r.recovery_stat = RecoveryStat::max_ms;
+        r.recovery_bound = to_ms(line.time(v));
+      } else {
+        r.recovery_stat = k == "max_stalled"   ? RecoveryStat::stalled
+                          : k == "max_gave_up" ? RecoveryStat::gave_up
+                          : k == "max_episodes" ? RecoveryStat::episodes
+                                                : RecoveryStat::max_iwants;
+        r.recovery_bound =
+            static_cast<double>(line.uint<std::uint64_t>(v, k.c_str()));
+      }
+      set.items.push_back(std::move(r));
+    }
+    return;
+  } else if (predicate == "structure") {
+    const text::KvArgs args =
+        line.kv(1, "structure", {"min_share"}, {"phase", "top", "rank"});
+    e.kind = Kind::structure;
+    e.phase = parse_phase(line, args);
+    e.min_share = parse_fraction(line, *args.find("min_share"), "min_share");
+    if (const std::string* t = args.find("top")) {
+      e.top_fraction = parse_fraction(line, *t, "top");
+      if (e.top_fraction <= 0.0) line.fail("top must be > 0");
+    }
+    if (const std::string* r = args.find("rank")) {
+      if (*r == "self") {
+        e.rank = RankSource::self;
+      } else if (*r == "oracle") {
+        e.rank = RankSource::oracle;
+      } else {
+        line.fail("structure: rank must be 'self' or 'oracle', got '" + *r +
+                  "'");
+      }
+    }
+  } else if (predicate == "jaccard") {
+    const text::KvArgs args = line.kv(1, "jaccard", {"min"}, {"phase"});
+    e.kind = Kind::jaccard;
+    e.phase = parse_phase(line, args);
+    e.min_jaccard = parse_fraction(line, *args.find("min"), "min");
+  } else if (predicate == "tree") {
+    const text::KvArgs args =
+        line.kv(1, "tree", {}, {"phase", "relay_within", "max_depth"},
+                {"complete", "unique"});
+    e.kind = Kind::tree;
+    e.phase = parse_phase(line, args);
+    e.check_complete = args.has_flag("complete");
+    e.check_unique = args.has_flag("unique");
+    if (const std::string* r = args.find("relay_within")) {
+      // `1r` / `2.5r` = gossip rounds (resolved against the run's
+      // retransmission period at evaluation time); otherwise a time.
+      if (!r->empty() && r->back() == 'r') {
+        e.relay_within_rounds = line.real(r->substr(0, r->size() - 1));
+        if (e.relay_within_rounds <= 0.0) {
+          line.fail("relay_within rounds must be > 0");
+        }
+      } else {
+        e.relay_within = line.time(*r);
+        if (e.relay_within <= 0) line.fail("relay_within must be > 0");
+      }
+    }
+    if (const std::string* d = args.find("max_depth")) {
+      e.max_depth = line.uint<std::uint64_t>(*d, "max_depth");
+      if (e.max_depth == 0) line.fail("max_depth must be > 0");
+    }
+    if (!e.check_complete && !e.check_unique && e.relay_within == 0 &&
+        e.relay_within_rounds == 0.0 && e.max_depth == 0) {
+      line.fail("tree needs at least one check (complete, unique, "
+                "relay_within= or max_depth=)");
+    }
+  } else if (predicate == "metric") {
+    if (line.tokens.size() != 4) {
+      line.fail("metric needs 'metric NAME CMP VALUE'");
+    }
+    e.kind = Kind::metric;
+    e.metric_name = line.tokens[1];
+    e.cmp = parse_cmp(line, line.tokens[2]);
+    e.metric_value = line.real(line.tokens[3]);
+  } else {
+    line.fail("unknown predicate '" + predicate + "'");
+  }
+  set.items.push_back(std::move(e));
 }
 
 }  // namespace
 
 ExpectationSet parse_expectations(std::istream& is) {
   ExpectationSet set;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-
-    std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token) tokens.push_back(token);
-    if (tokens.empty()) continue;
-
-    Expectation e;
-    e.line = line_no;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (i > 0) e.text += ' ';
-      e.text += tokens[i];
-    }
-    const std::string& predicate = tokens[0];
-
-    if (predicate == "deliver") {
-      const KvArgs args = parse_kv(tokens, 1, line_no);
-      args.check_known("deliver", {"phase", "min", "within"});
-      e.kind = Kind::deliver;
-      e.phase = parse_phase(args);
-      e.min_fraction =
-          parse_fraction(args.require("min", "deliver"), "min", line_no);
-      if (const std::string* w = args.find("within")) {
-        e.within = parse_time(*w, line_no);
-        if (e.within <= 0) fail(line_no, "within must be > 0");
-      }
-      set.items.push_back(std::move(e));
-    } else if (predicate == "latency") {
-      const KvArgs args = parse_kv(tokens, 1, line_no);
-      args.check_known("latency", {"phase", "p", "max"});
-      e.kind = Kind::latency;
-      e.phase = parse_phase(args);
-      if (const std::string* p = args.find("p")) {
-        if (*p == "mean") {
-          e.use_mean = true;
-        } else {
-          e.percentile = parse_number(*p, line_no);
-          if (e.percentile <= 0.0 || e.percentile > 100.0) {
-            fail(line_no,
-                 "percentile must be in (0, 100] or 'mean', got '" + *p + "'");
-          }
-        }
-      }
-      e.max_ms = to_ms(parse_time(args.require("max", "latency"), line_no));
-      set.items.push_back(std::move(e));
-    } else if (predicate == "recovery") {
-      const KvArgs args = parse_kv(tokens, 1, line_no);
-      args.check_known("recovery", {"max_stalled", "max_gave_up",
-                                    "max_episodes", "max_iwants", "max_ms"});
-      if (args.pairs.empty()) {
-        fail(line_no, "recovery needs at least one bound (max_stalled=, "
-                      "max_gave_up=, max_episodes=, max_iwants= or max_ms=)");
-      }
-      // Each bound becomes its own expectation so every bound gets its own
-      // pass/fail row in the report.
-      for (const auto& [k, v] : args.pairs) {
-        Expectation r = e;
-        r.kind = Kind::recovery;
-        r.text = "recovery " + k + "=" + v;
-        if (k == "max_stalled") {
-          r.recovery_stat = RecoveryStat::stalled;
-          r.recovery_bound =
-              static_cast<double>(parse_count(v, k.c_str(), line_no));
-        } else if (k == "max_gave_up") {
-          r.recovery_stat = RecoveryStat::gave_up;
-          r.recovery_bound =
-              static_cast<double>(parse_count(v, k.c_str(), line_no));
-        } else if (k == "max_episodes") {
-          r.recovery_stat = RecoveryStat::episodes;
-          r.recovery_bound =
-              static_cast<double>(parse_count(v, k.c_str(), line_no));
-        } else if (k == "max_iwants") {
-          r.recovery_stat = RecoveryStat::max_iwants;
-          r.recovery_bound =
-              static_cast<double>(parse_count(v, k.c_str(), line_no));
-        } else {  // max_ms
-          r.recovery_stat = RecoveryStat::max_ms;
-          r.recovery_bound = to_ms(parse_time(v, line_no));
-        }
-        set.items.push_back(std::move(r));
-      }
-    } else if (predicate == "structure") {
-      const KvArgs args = parse_kv(tokens, 1, line_no);
-      args.check_known("structure", {"phase", "min_share", "top", "rank"});
-      e.kind = Kind::structure;
-      e.phase = parse_phase(args);
-      e.min_share = parse_fraction(args.require("min_share", "structure"),
-                                   "min_share", line_no);
-      if (const std::string* t = args.find("top")) {
-        e.top_fraction = parse_fraction(*t, "top", line_no);
-        if (e.top_fraction <= 0.0) fail(line_no, "top must be > 0");
-      }
-      if (const std::string* r = args.find("rank")) {
-        if (*r == "self") {
-          e.rank = RankSource::self;
-        } else if (*r == "oracle") {
-          e.rank = RankSource::oracle;
-        } else {
-          fail(line_no, "structure: rank must be 'self' or 'oracle', got '" +
-                            *r + "'");
-        }
-      }
-      set.items.push_back(std::move(e));
-    } else if (predicate == "jaccard") {
-      const KvArgs args = parse_kv(tokens, 1, line_no);
-      args.check_known("jaccard", {"phase", "min"});
-      e.kind = Kind::jaccard;
-      e.phase = parse_phase(args);
-      e.min_jaccard =
-          parse_fraction(args.require("min", "jaccard"), "min", line_no);
-      set.items.push_back(std::move(e));
-    } else if (predicate == "tree") {
-      const KvArgs args = parse_kv(tokens, 1, line_no);
-      args.check_known("tree", {"phase", "relay_within", "max_depth"},
-                       {"complete", "unique"});
-      e.kind = Kind::tree;
-      e.phase = parse_phase(args);
-      e.check_complete = args.has_flag("complete");
-      e.check_unique = args.has_flag("unique");
-      if (const std::string* r = args.find("relay_within")) {
-        // `1r` / `2.5r` = gossip rounds (resolved against the run's
-        // retransmission period at evaluation time); otherwise a time.
-        if (!r->empty() && r->back() == 'r') {
-          e.relay_within_rounds =
-              parse_number(r->substr(0, r->size() - 1), line_no);
-          if (e.relay_within_rounds <= 0.0) {
-            fail(line_no, "relay_within rounds must be > 0");
-          }
-        } else {
-          e.relay_within = parse_time(*r, line_no);
-          if (e.relay_within <= 0) fail(line_no, "relay_within must be > 0");
-        }
-      }
-      if (const std::string* d = args.find("max_depth")) {
-        e.max_depth = parse_count(*d, "max_depth", line_no);
-        if (e.max_depth == 0) fail(line_no, "max_depth must be > 0");
-      }
-      if (!e.check_complete && !e.check_unique && e.relay_within == 0 &&
-          e.relay_within_rounds == 0.0 && e.max_depth == 0) {
-        fail(line_no, "tree needs at least one check (complete, unique, "
-                      "relay_within= or max_depth=)");
-      }
-      set.items.push_back(std::move(e));
-    } else if (predicate == "metric") {
-      if (tokens.size() != 4) {
-        fail(line_no, "metric needs 'metric NAME CMP VALUE'");
-      }
-      e.kind = Kind::metric;
-      e.metric_name = tokens[1];
-      e.cmp = parse_cmp(tokens[2], line_no);
-      e.metric_value = parse_number(tokens[3], line_no);
-      set.items.push_back(std::move(e));
-    } else {
-      fail(line_no, "unknown predicate '" + predicate + "'");
-    }
-  }
+  text::for_each_line(is, "expectation", [&](const text::Line& line) {
+    parse_line(line, set);
+  });
   return set;
 }
 
@@ -350,16 +184,9 @@ ExpectationSet parse_expectations(const std::string& text) {
 }
 
 ExpectationSet load_expectation_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    throw std::runtime_error("cannot open expectation file: " + path);
-  }
-  ExpectationSet set;
-  try {
-    set = parse_expectations(file);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  ExpectationSet set = text::load_file(
+      path, "expectation",
+      [](std::istream& is) { return parse_expectations(is); });
   for (Expectation& e : set.items) e.file = path;
   return set;
 }

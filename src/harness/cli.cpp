@@ -1,11 +1,13 @@
 #include "harness/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <sstream>
+
+#include "common/text_input.hpp"
 
 namespace esm::harness {
 
@@ -145,24 +147,6 @@ Output:
 )";
 }
 
-namespace {
-
-bool parse_double(const std::string& s, double& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
-
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
                                     std::string& error) {
   CliOptions options;
@@ -193,19 +177,24 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
   auto next_double = [&](const std::string& flag, double& out) {
     std::string v;
     if (!next_value(flag, v)) return false;
-    if (!parse_double(v, out)) {
+    const std::optional<double> parsed = text::parse_double(v);
+    if (!parsed) {
       error = flag + ": not a number: " + v;
       return false;
     }
+    out = *parsed;
     return true;
   };
-  auto next_u64 = [&](const std::string& flag, std::uint64_t& out) {
+  auto next_uint = [&]<typename T>(const std::string& flag, T& out) {
     std::string v;
     if (!next_value(flag, v)) return false;
-    if (!parse_u64(v, out)) {
-      error = flag + ": not an unsigned integer: " + v;
+    const std::optional<T> parsed = text::parse_uint<T>(v);
+    if (!parsed) {
+      error = flag + ": must be " + text::integer_range<T>() + ", got '" + v +
+              "'";
       return false;
     }
+    out = *parsed;
     return true;
   };
 
@@ -264,8 +253,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--pi") {
       if (!next_double(flag, s.pi)) return std::nullopt;
     } else if (flag == "--u") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      s.u = static_cast<Round>(u64);
+      if (!next_uint(flag, s.u)) return std::nullopt;
     } else if (flag == "--rho") {
       if (!next_double(flag, s.rho)) return std::nullopt;
     } else if (flag == "--best") {
@@ -278,26 +266,22 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--gossip-rank") {
       s.use_gossip_rank = true;
     } else if (flag == "--nodes") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.num_nodes = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.num_nodes)) return std::nullopt;
     } else if (flag == "--messages") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.num_messages = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.num_messages)) return std::nullopt;
     } else if (flag == "--payload") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.payload_bytes = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.payload_bytes)) return std::nullopt;
     } else if (flag == "--interval-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       c.mean_interval = static_cast<SimTime>(u64) * kMillisecond;
     } else if (flag == "--seed") {
-      if (!next_u64(flag, c.seed)) return std::nullopt;
+      if (!next_uint(flag, c.seed)) return std::nullopt;
     } else if (flag == "--shards") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 < 1) {
+      if (!next_uint(flag, c.shards)) return std::nullopt;
+      if (c.shards < 1) {
         error = "--shards: must be >= 1";
         return std::nullopt;
       }
-      c.shards = static_cast<std::uint32_t>(u64);
     } else if (flag == "--path-model") {
       if (!next_value(flag, v)) return std::nullopt;
       if (v == "dense") {
@@ -311,17 +295,16 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
         return std::nullopt;
       }
     } else if (flag == "--path-cache-mb") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       c.path_cache_bytes = static_cast<std::size_t>(u64) << 20;
     } else if (flag == "--sender") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.single_sender = static_cast<NodeId>(u64);
+      if (!next_uint(flag, c.single_sender)) return std::nullopt;
     } else if (flag == "--loss") {
       if (!next_double(flag, c.loss_rate)) return std::nullopt;
     } else if (flag == "--bandwidth") {
-      if (!next_u64(flag, c.bandwidth_bps)) return std::nullopt;
+      if (!next_uint(flag, c.bandwidth_bps)) return std::nullopt;
     } else if (flag == "--buffer") {
-      if (!next_u64(flag, c.egress_buffer_bytes)) return std::nullopt;
+      if (!next_uint(flag, c.egress_buffer_bytes)) return std::nullopt;
     } else if (flag == "--purge") {
       if (!next_value(flag, v)) return std::nullopt;
       if (v == "newest") {
@@ -347,8 +330,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--bp-low") {
       if (!next_double(flag, c.bp_low_watermark)) return std::nullopt;
     } else if (flag == "--bp-replies") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.bp_max_replies_per_dst = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.bp_max_replies_per_dst)) return std::nullopt;
     } else if (flag == "--pull-sched") {
       if (!next_value(flag, v)) return std::nullopt;
       if (v == "random") {
@@ -362,26 +344,22 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--slow") {
       if (!next_double(flag, c.slow_fraction)) return std::nullopt;
     } else if (flag == "--slow-bandwidth") {
-      if (!next_u64(flag, c.slow_bandwidth_bps)) return std::nullopt;
+      if (!next_uint(flag, c.slow_bandwidth_bps)) return std::nullopt;
     } else if (flag == "--adaptive-fanout") {
       c.adaptive_fanout = true;
     } else if (flag == "--fanout") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.gossip.fanout = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.gossip.fanout)) return std::nullopt;
     } else if (flag == "--rounds") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.gossip.max_rounds = static_cast<Round>(u64);
+      if (!next_uint(flag, c.gossip.max_rounds)) return std::nullopt;
     } else if (flag == "--degree") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.overlay.view_size = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.overlay.view_size)) return std::nullopt;
     } else if (flag == "--period-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       c.retransmission_period = static_cast<SimTime>(u64) * kMillisecond;
     } else if (flag == "--retry-rounds") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.max_request_rounds = static_cast<std::uint32_t>(u64);
+      if (!next_uint(flag, c.max_request_rounds)) return std::nullopt;
     } else if (flag == "--batch-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       c.ihave_batch_window = static_cast<SimTime>(u64) * kMillisecond;
     } else if (flag == "--overlay") {
       if (!next_value(flag, v)) return std::nullopt;
@@ -419,12 +397,11 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--workload") {
       if (!next_value(flag, options.workload_path)) return std::nullopt;
     } else if (flag == "--senders") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 == 0) {
+      if (!next_uint(flag, wl_senders)) return std::nullopt;
+      if (wl_senders == 0) {
         error = "--senders: must be >= 1";
         return std::nullopt;
       }
-      wl_senders = u64;
     } else if (flag == "--rate") {
       if (!next_double(flag, d)) return std::nullopt;
       if (!std::isfinite(d) || d <= 0.0) {
@@ -447,7 +424,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       }
       wl_aux_seen = true;
     } else if (flag == "--duration-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       if (u64 == 0) {
         error = "--duration-ms: must be > 0";
         return std::nullopt;
@@ -455,7 +432,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       wl_duration = static_cast<SimTime>(u64) * kMillisecond;
       wl_aux_seen = true;
     } else if (flag == "--burst-on-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       if (u64 == 0) {
         error = "--burst-on-ms: must be > 0";
         return std::nullopt;
@@ -463,16 +440,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       wl_burst_on = static_cast<SimTime>(u64) * kMillisecond;
       wl_aux_seen = true;
     } else if (flag == "--burst-off-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      if (!next_uint(flag, u64)) return std::nullopt;
       wl_burst_off = static_cast<SimTime>(u64) * kMillisecond;
       wl_aux_seen = true;
     } else if (flag == "--topics") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 == 0) {
+      if (!next_uint(flag, wl_topics)) return std::nullopt;
+      if (wl_topics == 0) {
         error = "--topics: must be >= 1";
         return std::nullopt;
       }
-      wl_topics = u64;
       wl_aux_seen = true;
     } else if (flag == "--topic-fraction") {
       if (!next_double(flag, d)) return std::nullopt;
@@ -532,12 +508,38 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
   return options;
 }
 
+namespace {
+
+/// A sweep value for an integer parameter: whole and in [lo, T's max].
+template <typename T>
+bool sweep_uint(const std::string& name, double value, T& out,
+                std::string& error, T lo = 0) {
+  if (value >= static_cast<double>(lo) && value == std::floor(value) &&
+      value < static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
+    out = static_cast<T>(value);
+    return true;
+  }
+  std::ostringstream os;
+  os.precision(17);
+  os << name << ": must be " << text::integer_range<T>(lo) << ", got "
+     << value;
+  error = os.str();
+  return false;
+}
+
+}  // namespace
+
 bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
                        double value, std::string& error) {
+  if (std::find(kSweepParams.begin(), kSweepParams.end(), name) ==
+      kSweepParams.end()) {
+    error = "unknown sweep parameter: " + name;
+    return false;
+  }
   if (name == "pi") {
     config.strategy.pi = value;
   } else if (name == "u") {
-    config.strategy.u = static_cast<Round>(value);
+    if (!sweep_uint(name, value, config.strategy.u, error)) return false;
   } else if (name == "rho") {
     config.strategy.rho = value;
   } else if (name == "best") {
@@ -562,21 +564,19 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
   } else if (name == "period-ms") {
     config.retransmission_period = static_cast<SimTime>(value * kMillisecond);
   } else if (name == "retry-rounds") {
-    config.max_request_rounds = static_cast<std::uint32_t>(value);
-  } else if (name == "fanout") {
-    config.gossip.fanout = static_cast<std::uint32_t>(value);
-  } else if (name == "nodes") {
-    config.num_nodes = static_cast<std::uint32_t>(value);
-  } else if (name == "messages") {
-    config.num_messages = static_cast<std::uint32_t>(value);
-  } else if (name == "seed") {
-    config.seed = static_cast<std::uint64_t>(value);
-  } else if (name == "shards") {
-    if (value < 1.0) {
-      error = "shards: must be >= 1";
+    if (!sweep_uint(name, value, config.max_request_rounds, error)) {
       return false;
     }
-    config.shards = static_cast<std::uint32_t>(value);
+  } else if (name == "fanout") {
+    if (!sweep_uint(name, value, config.gossip.fanout, error)) return false;
+  } else if (name == "nodes") {
+    if (!sweep_uint(name, value, config.num_nodes, error)) return false;
+  } else if (name == "messages") {
+    if (!sweep_uint(name, value, config.num_messages, error)) return false;
+  } else if (name == "seed") {
+    if (!sweep_uint(name, value, config.seed, error)) return false;
+  } else if (name == "shards") {
+    if (!sweep_uint(name, value, config.shards, error, 1u)) return false;
   } else if (name == "backpressure") {
     if (value != 0.0 && config.egress_buffer_bytes == 0) {
       error = "backpressure: requires a bounded egress buffer (--buffer)";
@@ -584,11 +584,8 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
     }
     config.backpressure = value != 0.0;
   } else if (name == "senders") {
-    if (value < 1.0) {
-      error = "senders: must be >= 1";
-      return false;
-    }
-    const auto k = static_cast<std::size_t>(value);
+    std::uint32_t k = 0;
+    if (!sweep_uint(name, value, k, error, 1u)) return false;
     // Grow/shrink the publisher pool, cloning the first spec so a sweep
     // over k keeps whatever arrival process the base config set up.
     const load::PublisherSpec proto = config.workload.publishers.empty()
@@ -641,9 +638,6 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
     for (auto& pub : config.workload.publishers) {
       pub.burst_off = static_cast<SimTime>(value * kMillisecond);
     }
-  } else {
-    error = "unknown sweep parameter: " + name;
-    return false;
   }
   // A sweep point may enter a gated combination the base config was not
   // in (--param shards over --churn, --param noise over --shards 2).
@@ -657,12 +651,12 @@ std::optional<std::vector<double>> parse_value_list(const std::string& text,
   std::string token;
   std::istringstream stream(text);
   while (std::getline(stream, token, ',')) {
-    double v = 0.0;
-    if (!parse_double(token, v)) {
+    const std::optional<double> v = text::parse_double(token);
+    if (!v) {
       error = "not a number in value list: " + token;
       return std::nullopt;
     }
-    values.push_back(v);
+    values.push_back(*v);
   }
   if (values.empty()) {
     error = "empty value list";

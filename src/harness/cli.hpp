@@ -5,6 +5,7 @@
 // prints. Flags mirror the paper's knobs one-to-one.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,12 +63,17 @@ std::string format_metrics_json(
     const obs::RunMetrics& metrics,
     const std::vector<std::vector<stats::PhaseReport>>& phase_runs);
 
-/// Applies one named sweep parameter to a config (used by `esm_sweep`).
-/// Supported names: pi, u, rho, best, noise, t0-ms, loss, kill, churn,
-/// batch-ms, interval-ms, period-ms, retry-rounds, fanout, nodes,
-/// messages, seed, shards, backpressure, senders, rate, duration-ms,
-/// burst-on-ms, burst-off-ms. Returns false and sets `error` for unknown
-/// names, invalid values, and points that fail shard_gate_error().
+/// Every parameter name apply_sweep_param accepts, in usage order.
+inline constexpr std::array<const char*, 24> kSweepParams = {
+    "pi", "u", "rho", "best", "noise", "t0-ms", "loss", "kill", "churn",
+    "batch-ms", "interval-ms", "period-ms", "retry-rounds", "fanout",
+    "nodes", "messages", "seed", "shards", "backpressure", "senders", "rate",
+    "duration-ms", "burst-on-ms", "burst-off-ms"};
+
+/// Applies one named sweep parameter (one of kSweepParams) to a config
+/// (used by `esm_sweep`). Integer parameters take only whole values in
+/// their type's range. Returns false and sets `error` for unknown names,
+/// invalid values, and points that fail shard_gate_error().
 bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
                        double value, std::string& error);
 

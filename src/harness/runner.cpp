@@ -1,12 +1,13 @@
 #include "harness/runner.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
+
+#include "common/text_input.hpp"
 
 namespace esm::harness {
 
@@ -23,17 +24,15 @@ unsigned extract_jobs_flag(std::vector<std::string>& args,
       error = "--jobs requires a value";
       return 0;
     }
-    const std::string& v = args[i + 1];
-    unsigned jobs = 0;
-    const auto [ptr, ec] =
-        std::from_chars(v.data(), v.data() + v.size(), jobs);
-    if (ec != std::errc() || ptr != v.data() + v.size()) {
-      error = "--jobs: not an unsigned integer: " + v;
+    const auto jobs = text::parse_uint<unsigned>(args[i + 1]);
+    if (!jobs) {
+      error = "--jobs: must be " + text::integer_range<unsigned>() +
+              ", got '" + args[i + 1] + "'";
       return 0;
     }
     args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return jobs == 0 ? default_jobs() : jobs;
+    return *jobs == 0 ? default_jobs() : *jobs;
   }
   return default_jobs();
 }

@@ -1,9 +1,8 @@
 #include "harness/scenario_text.hpp"
 
-#include <cctype>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
+
+#include "common/text_input.hpp"
 
 namespace esm::harness {
 namespace {
@@ -13,270 +12,117 @@ using fault::FaultKind;
 using fault::ScenarioScript;
 using fault::SelectorKind;
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::runtime_error("scenario line " + std::to_string(line_no) + ": " +
-                           what);
-}
-
-/// "30s" / "500ms" / "250us" / "2.5s" -> SimTime. Bare numbers are an
-/// error: the unit keeps scripts self-documenting.
-SimTime parse_time(const std::string& token, std::size_t line_no) {
-  std::size_t unit_pos = 0;
-  while (unit_pos < token.size() &&
-         (std::isdigit(static_cast<unsigned char>(token[unit_pos])) ||
-          token[unit_pos] == '.')) {
-    ++unit_pos;
+/// `<value_key>=X [<duration_key>=DUR]`, plus `[link=A-B]` when
+/// `scoped`: the arguments of every burst command.
+void parse_burst(const text::Line& line, const char* value_key,
+                 const char* duration_key, bool scoped, FaultEvent& event) {
+  const char* command = line.tokens[1].c_str();
+  const text::KvArgs args =
+      scoped ? line.kv(2, command, {value_key}, {duration_key, "link"})
+             : line.kv(2, command, {value_key}, {duration_key});
+  event.value = line.real(*args.find(value_key));
+  if (const std::string* d = args.find(duration_key)) {
+    event.duration = line.time(*d);
   }
-  const std::string number = token.substr(0, unit_pos);
-  const std::string unit = token.substr(unit_pos);
-  double value = 0.0;
-  try {
-    std::size_t pos = 0;
-    value = std::stod(number, &pos);
-    if (pos != number.size() || number.empty()) throw std::invalid_argument("");
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad time '" + token + "'");
-  }
-  if (value < 0.0) fail(line_no, "time must be >= 0");
-  SimTime scale = 0;
-  if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    fail(line_no, "time '" + token + "' needs a unit (us, ms or s)");
-  }
-  return static_cast<SimTime>(value * static_cast<double>(scale));
-}
-
-double parse_number(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad number '" + token + "'");
-  }
-}
-
-NodeId parse_node(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long v = std::stoul(token, &pos);
-    if (pos != token.size() || v > 0xffffffffUL) {
-      throw std::invalid_argument("");
-    }
-    return static_cast<NodeId>(v);
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad node id '" + token + "'");
-  }
-}
-
-std::uint32_t parse_count(const std::string& token, std::size_t line_no) {
-  const NodeId v = parse_node(token, line_no);
-  if (v == 0) fail(line_no, "count must be > 0");
-  return v;
-}
-
-/// "0..4,9,12..13" -> {0,1,2,3,4,9,12,13}.
-std::vector<NodeId> parse_node_list(const std::string& text,
-                                    std::size_t line_no) {
-  std::vector<NodeId> out;
-  std::istringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) fail(line_no, "empty entry in node list '" + text + "'");
-    const std::size_t dots = item.find("..");
-    if (dots == std::string::npos) {
-      out.push_back(parse_node(item, line_no));
-    } else {
-      const NodeId lo = parse_node(item.substr(0, dots), line_no);
-      const NodeId hi = parse_node(item.substr(dots + 2), line_no);
-      if (lo > hi) fail(line_no, "backwards range '" + item + "'");
-      for (NodeId id = lo; id <= hi; ++id) out.push_back(id);
-    }
-  }
-  if (out.empty()) fail(line_no, "empty node list");
-  return out;
-}
-
-/// key=value arguments after a command. Returns true if `key` was present.
-struct KvArgs {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  std::size_t line_no = 0;
-
-  const std::string* find(const std::string& key) const {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-
-  std::string require(const std::string& key, const char* command) const {
-    const std::string* v = find(key);
-    if (v == nullptr) {
-      fail(line_no, std::string(command) + " needs " + key + "=...");
-    }
-    return *v;
-  }
-};
-
-KvArgs parse_kv(const std::vector<std::string>& tokens, std::size_t first,
-                std::size_t line_no) {
-  KvArgs args;
-  args.line_no = line_no;
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      fail(line_no, "expected key=value, got '" + tokens[i] + "'");
-    }
-    args.pairs.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
-  }
-  return args;
-}
-
-/// Optional link=A-B scope.
-void parse_link_scope(const KvArgs& args, FaultEvent& event) {
   const std::string* link = args.find("link");
   if (link == nullptr) return;
   const std::size_t dash = link->find('-');
   if (dash == std::string::npos || dash == 0 || dash + 1 >= link->size()) {
-    fail(args.line_no, "link scope must be link=A-B, got '" + *link + "'");
+    line.fail("link scope must be link=A-B, got '" + *link + "'");
   }
-  event.link_a = parse_node(link->substr(0, dash), args.line_no);
-  event.link_b = parse_node(link->substr(dash + 1), args.line_no);
+  event.link_a = line.node_id(link->substr(0, dash));
+  event.link_b = line.node_id(link->substr(dash + 1));
 }
 
-void parse_selector(const std::vector<std::string>& tokens,
-                    std::size_t line_no, bool is_recover, FaultEvent& event) {
-  const char* what = is_recover ? "recover" : "crash";
-  if (tokens.size() < 3) {
-    fail(line_no, std::string(what) + " needs a selector");
-  }
+void parse_selector(const text::Line& line, bool is_recover,
+                    FaultEvent& event) {
+  const auto& tokens = line.tokens;
+  const std::string what = is_recover ? "recover" : "crash";
+  if (tokens.size() < 3) line.fail(what + " needs a selector");
   const std::string& sel = tokens[2];
   if (sel == "nodes") {
-    if (tokens.size() != 4) {
-      fail(line_no, std::string(what) + " nodes needs one node list");
-    }
+    if (tokens.size() != 4) line.fail(what + " nodes needs one node list");
     event.selector = SelectorKind::ids;
-    event.ids = parse_node_list(tokens[3], line_no);
+    event.ids = line.node_list(tokens[3]);
     return;
   }
   if (is_recover && sel == "all") {
-    if (tokens.size() != 3) fail(line_no, "recover all takes no arguments");
+    if (tokens.size() != 3) line.fail("recover all takes no arguments");
     event.selector = SelectorKind::all_crashed;
     return;
   }
-  SelectorKind kind;
   if (sel == "best") {
-    kind = SelectorKind::best;
+    event.selector = SelectorKind::best;
   } else if (sel == "worst") {
-    kind = SelectorKind::worst;
+    event.selector = SelectorKind::worst;
   } else if (sel == "random") {
-    kind = SelectorKind::random;
+    event.selector = SelectorKind::random;
   } else {
-    fail(line_no, std::string(what) + ": unknown selector '" + sel + "'");
+    line.fail(what + ": unknown selector '" + sel + "'");
   }
-  if (tokens.size() != 4) {
-    fail(line_no, std::string(what) + " " + sel + " needs a count");
+  if (tokens.size() != 4) line.fail(what + " " + sel + " needs a count");
+  event.count = line.uint<std::uint32_t>(tokens[3], "count");
+  if (event.count == 0) line.fail("count must be > 0");
+}
+
+void parse_event(const text::Line& line, ScenarioScript& script) {
+  const auto& tokens = line.tokens;
+  if (tokens.size() < 2) line.fail("expected '<time> <command> ...'");
+  FaultEvent event;
+  event.at = line.time(tokens[0]);
+  const std::string& command = tokens[1];
+
+  if (command == "phase") {
+    event.kind = FaultKind::phase;
+    event.label = line.join(2);
+    if (event.label.empty()) line.fail("phase needs a label");
+    if (event.label.find(',') != std::string::npos) {
+      // Caught here so the diagnostic names the scenario line instead of
+      // a "bad field count" error deep in a later trace-CSV parse.
+      line.fail("phase label must not contain commas (it becomes a "
+                "trace CSV field): '" + event.label + "'");
+    }
+  } else if (command == "crash" || command == "recover") {
+    event.kind = command == "crash" ? FaultKind::crash : FaultKind::recover;
+    parse_selector(line, command == "recover", event);
+  } else if (command == "partition") {
+    event.kind = FaultKind::partition;
+    // Rejoin the rest of the line and split it on '|', so each group is
+    // one comma-separated list; groups may contain spaces around '|'.
+    const std::string rest = line.join(2, "");
+    if (rest.empty()) line.fail("partition needs at least one group");
+    for (const std::string_view group : text::split(rest, '|')) {
+      if (group.empty()) line.fail("empty partition group");
+      event.groups.push_back(line.node_list(group));
+    }
+  } else if (command == "heal") {
+    if (tokens.size() != 2) line.fail("heal takes no arguments");
+    event.kind = FaultKind::heal;
+  } else if (command == "loss") {
+    event.kind = FaultKind::loss_burst;
+    parse_burst(line, "rate", "for", true, event);
+  } else if (command == "latency") {
+    event.kind = FaultKind::latency_spike;
+    parse_burst(line, "factor", "for", true, event);
+  } else if (command == "churn") {
+    event.kind = FaultKind::churn;
+    parse_burst(line, "rate", "for", false, event);
+  } else if (command == "noise") {
+    event.kind = FaultKind::noise_ramp;
+    parse_burst(line, "to", "over", false, event);
+  } else {
+    line.fail("unknown command '" + command + "'");
   }
-  event.selector = kind;
-  event.count = parse_count(tokens[3], line_no);
+  script.events.push_back(std::move(event));
 }
 
 }  // namespace
 
 fault::ScenarioScript parse_scenario(std::istream& is) {
   ScenarioScript script;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-
-    std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token) tokens.push_back(token);
-    if (tokens.empty()) continue;
-    if (tokens.size() < 2) fail(line_no, "expected '<time> <command> ...'");
-
-    FaultEvent event;
-    event.at = parse_time(tokens[0], line_no);
-    const std::string& command = tokens[1];
-
-    if (command == "phase") {
-      event.kind = FaultKind::phase;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        if (i > 2) event.label += ' ';
-        event.label += tokens[i];
-      }
-      if (event.label.empty()) fail(line_no, "phase needs a label");
-      if (event.label.find(',') != std::string::npos) {
-        // Caught here so the diagnostic names the scenario line instead of
-        // a "bad field count" error deep in a later trace-CSV parse.
-        fail(line_no, "phase label must not contain commas (it becomes a "
-                      "trace CSV field): '" + event.label + "'");
-      }
-    } else if (command == "crash" || command == "recover") {
-      event.kind =
-          command == "crash" ? FaultKind::crash : FaultKind::recover;
-      parse_selector(tokens, line_no, command == "recover", event);
-    } else if (command == "partition") {
-      event.kind = FaultKind::partition;
-      // Re-split the remainder of the line on '|' so each group is one
-      // comma-separated list; groups may contain spaces around '|'.
-      std::string rest;
-      for (std::size_t i = 2; i < tokens.size(); ++i) rest += tokens[i];
-      if (rest.empty()) fail(line_no, "partition needs at least one group");
-      std::istringstream groups(rest);
-      std::string group;
-      while (std::getline(groups, group, '|')) {
-        if (group.empty()) fail(line_no, "empty partition group");
-        event.groups.push_back(parse_node_list(group, line_no));
-      }
-    } else if (command == "heal") {
-      if (tokens.size() != 2) fail(line_no, "heal takes no arguments");
-      event.kind = FaultKind::heal;
-    } else if (command == "loss") {
-      event.kind = FaultKind::loss_burst;
-      const KvArgs args = parse_kv(tokens, 2, line_no);
-      event.value = parse_number(args.require("rate", "loss"), line_no);
-      if (const std::string* d = args.find("for")) {
-        event.duration = parse_time(*d, line_no);
-      }
-      parse_link_scope(args, event);
-    } else if (command == "latency") {
-      event.kind = FaultKind::latency_spike;
-      const KvArgs args = parse_kv(tokens, 2, line_no);
-      event.value = parse_number(args.require("factor", "latency"), line_no);
-      if (const std::string* d = args.find("for")) {
-        event.duration = parse_time(*d, line_no);
-      }
-      parse_link_scope(args, event);
-    } else if (command == "churn") {
-      event.kind = FaultKind::churn;
-      const KvArgs args = parse_kv(tokens, 2, line_no);
-      event.value = parse_number(args.require("rate", "churn"), line_no);
-      if (const std::string* d = args.find("for")) {
-        event.duration = parse_time(*d, line_no);
-      }
-    } else if (command == "noise") {
-      event.kind = FaultKind::noise_ramp;
-      const KvArgs args = parse_kv(tokens, 2, line_no);
-      event.value = parse_number(args.require("to", "noise"), line_no);
-      if (const std::string* d = args.find("over")) {
-        event.duration = parse_time(*d, line_no);
-      }
-    } else {
-      fail(line_no, "unknown command '" + command + "'");
-    }
-    script.events.push_back(std::move(event));
-  }
+  text::for_each_line(is, "scenario", [&](const text::Line& line) {
+    parse_event(line, script);
+  });
   script.sort();
   return script;
 }
@@ -287,15 +133,8 @@ fault::ScenarioScript parse_scenario(const std::string& text) {
 }
 
 fault::ScenarioScript load_scenario_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    throw std::runtime_error("cannot open scenario file: " + path);
-  }
-  try {
-    return parse_scenario(file);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return text::load_file(path, "scenario",
+                         [](std::istream& is) { return parse_scenario(is); });
 }
 
 }  // namespace esm::harness

@@ -1,245 +1,116 @@
 #include "load/workload_text.hpp"
 
-#include <cctype>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/text_input.hpp"
 
 namespace esm::load {
 namespace {
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::runtime_error("workload line " + std::to_string(line_no) + ": " +
-                           what);
-}
-
-/// "30s" / "500ms" / "250us" / "2.5s" -> SimTime. Bare numbers are an
-/// error: the unit keeps scripts self-documenting.
-SimTime parse_time(const std::string& token, std::size_t line_no) {
-  std::size_t unit_pos = 0;
-  while (unit_pos < token.size() &&
-         (std::isdigit(static_cast<unsigned char>(token[unit_pos])) ||
-          token[unit_pos] == '.')) {
-    ++unit_pos;
-  }
-  const std::string number = token.substr(0, unit_pos);
-  const std::string unit = token.substr(unit_pos);
-  double value = 0.0;
-  try {
-    std::size_t pos = 0;
-    value = std::stod(number, &pos);
-    if (pos != number.size() || number.empty()) throw std::invalid_argument("");
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad time '" + token + "'");
-  }
-  if (value < 0.0) fail(line_no, "time must be >= 0");
-  SimTime scale = 0;
-  if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    fail(line_no, "time '" + token + "' needs a unit (us, ms or s)");
-  }
-  return static_cast<SimTime>(value * static_cast<double>(scale));
-}
-
-double parse_number(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad number '" + token + "'");
-  }
-}
-
-std::uint32_t parse_u32(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long v = std::stoul(token, &pos);
-    if (pos != token.size() || v > 0xffffffffUL) {
-      throw std::invalid_argument("");
-    }
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad integer '" + token + "'");
-  }
-}
-
-/// "0..4,9,12..13" -> {0,1,2,3,4,9,12,13}.
-std::vector<NodeId> parse_node_list(const std::string& text,
-                                    std::size_t line_no) {
-  std::vector<NodeId> out;
-  std::istringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) fail(line_no, "empty entry in node list '" + text + "'");
-    const std::size_t dots = item.find("..");
-    if (dots == std::string::npos) {
-      out.push_back(parse_u32(item, line_no));
-    } else {
-      const NodeId lo = parse_u32(item.substr(0, dots), line_no);
-      const NodeId hi = parse_u32(item.substr(dots + 2), line_no);
-      if (lo > hi) fail(line_no, "backwards range '" + item + "'");
-      for (NodeId id = lo; id <= hi; ++id) out.push_back(id);
-    }
-  }
-  if (out.empty()) fail(line_no, "empty node list");
-  return out;
-}
-
-struct KvArgs {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  std::size_t line_no = 0;
-
-  const std::string* find(const std::string& key) const {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-
-  std::string require(const std::string& key, const char* command) const {
-    const std::string* v = find(key);
-    if (v == nullptr) {
-      fail(line_no, std::string(command) + " needs " + key + "=...");
-    }
-    return *v;
-  }
-};
-
-KvArgs parse_kv(const std::vector<std::string>& tokens, std::size_t first,
-                std::size_t line_no) {
-  KvArgs args;
-  args.line_no = line_no;
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      fail(line_no, "expected key=value, got '" + tokens[i] + "'");
-    }
-    args.pairs.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
-  }
-  return args;
-}
-
-std::uint32_t topic_index(const WorkloadSpec& spec, const std::string& name,
-                          std::size_t line_no) {
+std::uint32_t topic_index(const WorkloadSpec& spec, const text::Line& line,
+                          const std::string& name) {
   for (std::size_t i = 0; i < spec.topics.size(); ++i) {
     if (spec.topics[i].name == name) return static_cast<std::uint32_t>(i);
   }
-  fail(line_no, "unknown topic '" + name + "' (declare it before use)");
+  line.fail("unknown topic '" + name + "' (declare it before use)");
+}
+
+void parse_topic(const text::Line& line, WorkloadSpec& spec) {
+  if (line.tokens.size() < 3) {
+    line.fail("topic needs a name and nodes=/fraction=");
+  }
+  TopicSpec topic;
+  topic.name = line.tokens[1];
+  if (topic.name.find('=') != std::string::npos) {
+    line.fail("topic needs a name before its arguments");
+  }
+  for (const TopicSpec& t : spec.topics) {
+    if (t.name == topic.name) line.fail("duplicate topic '" + t.name + "'");
+  }
+  const text::KvArgs args = line.kv(2, "topic", {}, {"nodes", "fraction"});
+  const std::string* nodes = args.find("nodes");
+  const std::string* fraction = args.find("fraction");
+  if ((nodes != nullptr) == (fraction != nullptr)) {
+    line.fail("topic needs exactly one of nodes=... or fraction=...");
+  }
+  if (nodes != nullptr) {
+    topic.members = line.node_list(*nodes);
+  } else {
+    topic.fraction = line.real(*fraction);
+    if (!(topic.fraction > 0.0 && topic.fraction <= 1.0)) {
+      line.fail("fraction must be in (0, 1]");
+    }
+  }
+  spec.topics.push_back(std::move(topic));
+}
+
+void parse_publisher(const text::Line& line, WorkloadSpec& spec) {
+  if (line.tokens.size() < 2) {
+    line.fail("publisher needs an arrival kind (poisson/fixed/burst)");
+  }
+  PublisherSpec pub;
+  const std::string& kind = line.tokens[1];
+  if (kind == "poisson") {
+    pub.arrival = ArrivalKind::poisson;
+  } else if (kind == "fixed") {
+    pub.arrival = ArrivalKind::fixed_rate;
+  } else if (kind == "burst") {
+    pub.arrival = ArrivalKind::burst;
+  } else {
+    line.fail("unknown arrival kind '" + kind + "' (poisson, fixed or burst)");
+  }
+  const text::KvArgs args =
+      line.kv(2, "publisher", {"rate"},
+              {"topic", "node", "payload", "start", "stop", "on", "off"});
+  pub.rate = line.real(*args.find("rate"));
+  if (!(pub.rate > 0.0)) line.fail("rate must be > 0");
+  if (const std::string* v = args.find("topic")) {
+    pub.topic = topic_index(spec, line, *v);
+  }
+  if (const std::string* v = args.find("node")) {
+    pub.node = line.node_id(*v);
+  }
+  if (const std::string* v = args.find("payload")) {
+    pub.payload_bytes = line.uint<std::uint32_t>(*v, "payload");
+  }
+  if (const std::string* v = args.find("start")) pub.start = line.time(*v);
+  if (const std::string* v = args.find("stop")) pub.stop = line.time(*v);
+  const auto burst_time = [&](const char* key, SimTime& out) {
+    const std::string* v = args.find(key);
+    if (v == nullptr) return;
+    if (pub.arrival != ArrivalKind::burst) {
+      line.fail(std::string(key) + "= only applies to burst publishers");
+    }
+    out = line.time(*v);
+  };
+  burst_time("on", pub.burst_on);
+  burst_time("off", pub.burst_off);
+  spec.publishers.push_back(pub);
 }
 
 }  // namespace
 
 WorkloadSpec parse_workload(std::istream& is) {
   WorkloadSpec spec;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-
-    std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token) tokens.push_back(token);
-    if (tokens.empty()) continue;
-    const std::string& command = tokens[0];
-
+  text::for_each_line(is, "workload", [&](const text::Line& line) {
+    const std::string& command = line.tokens[0];
     if (command == "duration") {
-      if (tokens.size() != 2) fail(line_no, "duration takes one time");
-      spec.duration = parse_time(tokens[1], line_no);
-      if (spec.duration <= 0) fail(line_no, "duration must be > 0");
+      if (line.tokens.size() != 2) line.fail("duration takes one time");
+      spec.duration = line.time(line.tokens[1]);
+      if (spec.duration <= 0) line.fail("duration must be > 0");
     } else if (command == "limit") {
-      if (tokens.size() != 2) fail(line_no, "limit takes one count");
-      spec.max_messages = parse_u32(tokens[1], line_no);
-      if (spec.max_messages == 0) fail(line_no, "limit must be > 0");
+      if (line.tokens.size() != 2) line.fail("limit takes one count");
+      spec.max_messages = line.uint<std::uint32_t>(line.tokens[1], "limit");
+      if (spec.max_messages == 0) line.fail("limit must be > 0");
     } else if (command == "topic") {
-      if (tokens.size() < 3) {
-        fail(line_no, "topic needs a name and nodes=/fraction=");
-      }
-      TopicSpec topic;
-      topic.name = tokens[1];
-      if (topic.name.find('=') != std::string::npos) {
-        fail(line_no, "topic needs a name before its arguments");
-      }
-      for (const TopicSpec& existing : spec.topics) {
-        if (existing.name == topic.name) {
-          fail(line_no, "duplicate topic '" + topic.name + "'");
-        }
-      }
-      const KvArgs args = parse_kv(tokens, 2, line_no);
-      const std::string* nodes = args.find("nodes");
-      const std::string* fraction = args.find("fraction");
-      if ((nodes != nullptr) == (fraction != nullptr)) {
-        fail(line_no, "topic needs exactly one of nodes=... or fraction=...");
-      }
-      if (nodes != nullptr) {
-        topic.members = parse_node_list(*nodes, line_no);
-      } else {
-        topic.fraction = parse_number(*fraction, line_no);
-        if (!(topic.fraction > 0.0 && topic.fraction <= 1.0)) {
-          fail(line_no, "fraction must be in (0, 1]");
-        }
-      }
-      spec.topics.push_back(std::move(topic));
+      parse_topic(line, spec);
     } else if (command == "publisher") {
-      if (tokens.size() < 2) {
-        fail(line_no, "publisher needs an arrival kind (poisson/fixed/burst)");
-      }
-      PublisherSpec pub;
-      const std::string& kind = tokens[1];
-      if (kind == "poisson") {
-        pub.arrival = ArrivalKind::poisson;
-      } else if (kind == "fixed") {
-        pub.arrival = ArrivalKind::fixed_rate;
-      } else if (kind == "burst") {
-        pub.arrival = ArrivalKind::burst;
-      } else {
-        fail(line_no, "unknown arrival kind '" + kind +
-                          "' (poisson, fixed or burst)");
-      }
-      const KvArgs args = parse_kv(tokens, 2, line_no);
-      pub.rate = parse_number(args.require("rate", "publisher"), line_no);
-      if (!(pub.rate > 0.0)) fail(line_no, "rate must be > 0");
-      if (const std::string* v = args.find("topic")) {
-        pub.topic = topic_index(spec, *v, line_no);
-      }
-      if (const std::string* v = args.find("node")) {
-        pub.node = parse_u32(*v, line_no);
-      }
-      if (const std::string* v = args.find("payload")) {
-        pub.payload_bytes = parse_u32(*v, line_no);
-      }
-      if (const std::string* v = args.find("start")) {
-        pub.start = parse_time(*v, line_no);
-      }
-      if (const std::string* v = args.find("stop")) {
-        pub.stop = parse_time(*v, line_no);
-      }
-      if (const std::string* v = args.find("on")) {
-        if (pub.arrival != ArrivalKind::burst) {
-          fail(line_no, "on= only applies to burst publishers");
-        }
-        pub.burst_on = parse_time(*v, line_no);
-      }
-      if (const std::string* v = args.find("off")) {
-        if (pub.arrival != ArrivalKind::burst) {
-          fail(line_no, "off= only applies to burst publishers");
-        }
-        pub.burst_off = parse_time(*v, line_no);
-      }
-      spec.publishers.push_back(pub);
+      parse_publisher(line, spec);
     } else {
-      fail(line_no, "unknown directive '" + command + "'");
+      line.fail("unknown directive '" + command + "'");
     }
-  }
+  });
   if (spec.publishers.empty()) {
     throw std::runtime_error("workload: no publishers declared");
   }
@@ -252,15 +123,8 @@ WorkloadSpec parse_workload(const std::string& text) {
 }
 
 WorkloadSpec load_workload_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    throw std::runtime_error("cannot open workload file: " + path);
-  }
-  try {
-    return parse_workload(file);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return text::load_file(path, "workload",
+                         [](std::istream& is) { return parse_workload(is); });
 }
 
 }  // namespace esm::load

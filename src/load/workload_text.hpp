@@ -10,7 +10,10 @@
 //   publisher burst rate=200 on=250ms off=750ms start=2s stop=12s
 //
 // Topics are referenced by name and must be declared before use. Times
-// require a unit (us/ms/s), matching scenario scripts.
+// require a unit (us/ms/s), matching scenario scripts. A directive takes
+// only the keys shown above, each at most once: an unknown or repeated
+// key is an error. Numbers are plain decimal (a leading '+' and hex are
+// rejected), and integers must fit their field.
 #pragma once
 
 #include <iosfwd>

@@ -145,6 +145,17 @@ TEST(Cli, RejectsNonNumericValue) {
   EXPECT_NE(error.find("--pi"), std::string::npos);
   EXPECT_FALSE(parse_cli({"--nodes", "-5"}, error));
   EXPECT_FALSE(parse_cli({"--nodes", "5x"}, error));
+  // Integers must fit their field: 4294967316 used to wrap to 20 nodes.
+  EXPECT_FALSE(parse_cli({"--nodes", "4294967316"}, error));
+  EXPECT_EQ(error,
+            "--nodes: must be an integer in [0, 4294967295], got "
+            "'4294967316'");
+  EXPECT_FALSE(parse_cli({"--fanout", "-1"}, error));
+  EXPECT_FALSE(parse_cli({"--seed", "18446744073709551616"}, error));
+  // Numbers are plain decimal.
+  EXPECT_FALSE(parse_cli({"--pi", "+0.5"}, error));
+  EXPECT_FALSE(parse_cli({"--pi", "0x1p-1"}, error));
+  EXPECT_FALSE(parse_cli({"--pi", "inf"}, error));
 }
 
 TEST(Cli, RejectsUnknownEnumValues) {
@@ -317,6 +328,31 @@ TEST(Cli, ApplySweepParamCoversAllNames) {
   EXPECT_TRUE(apply_sweep_param(c, "seed", 5, error));
   EXPECT_FALSE(apply_sweep_param(c, "flux-capacitor", 1.21, error));
   EXPECT_NE(error.find("flux-capacitor"), std::string::npos);
+
+  // Every name in the list esm_sweep prints is one apply_sweep_param knows.
+  for (const char* name : kSweepParams) {
+    ExperimentConfig fresh;
+    error.clear();
+    apply_sweep_param(fresh, name, 1.0, error);
+    EXPECT_EQ(error.find("unknown sweep parameter"), std::string::npos)
+        << name;
+  }
+  // Integer parameters take only whole values in their field's range:
+  // -5 nodes used to abort, fanout -1 ran as 4294967295 and u 2.5 as 2.
+  for (const char* name : {"u", "retry-rounds", "fanout", "nodes",
+                           "messages", "seed", "shards", "senders"}) {
+    for (const double bad : {-5.0, -1.0, 2.5, 1e20}) {
+      ExperimentConfig fresh;
+      EXPECT_FALSE(apply_sweep_param(fresh, name, bad, error))
+          << name << " " << bad;
+      EXPECT_EQ(error.rfind(std::string(name) + ": must be an integer in [", 0),
+                0u)
+          << error;
+    }
+  }
+  EXPECT_FALSE(apply_sweep_param(c, "nodes", 4294967296.0, error));
+  EXPECT_EQ(error, "nodes: must be an integer in [0, 4294967295], got "
+                   "4294967296");
 }
 
 TEST(Cli, WorkloadFlagsBuildSpec) {

@@ -124,6 +124,16 @@ TEST(ExpectParse, MalformedLinesReportLineNumbers) {
   expect_parse_error("metric foo >= \n", 1, "metric");
   expect_parse_error("metric foo ~= 1\n", 1, "unknown comparison");
   expect_parse_error("deliver phase=a,b min=1\n", 1, "comma");
+  // A key may appear once; before, the first one silently won.
+  expect_parse_error("deliver min=0.5 min=0.99\n", 1,
+                     "deliver: duplicate key 'min='");
+  expect_parse_error("recovery max_stalled=1 max_stalled=2\n", 1,
+                     "recovery: duplicate key 'max_stalled='");
+  expect_parse_error("tree unique unique\n", 1, "duplicate flag 'unique'");
+  // Counts are whole numbers; all numbers are plain decimal.
+  expect_parse_error("tree max_depth=1.5\n", 1, "max_depth must be an integer");
+  expect_parse_error("recovery max_gave_up=-1\n", 1, "max_gave_up must be");
+  expect_parse_error("metric x <= 0x10\n", 1, "bad number");
 }
 
 TEST(ExpectParse, MergeComposesFiles) {

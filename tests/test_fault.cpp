@@ -139,6 +139,31 @@ TEST(ScenarioText, ErrorsCarryLineNumbers) {
   expect_parse_error("1s churn 2\n", "expected key=value");
   expect_parse_error("-1s phase x\n", "bad time");
   expect_parse_error("1s\n", "expected '<time> <command> ...'");
+  // Each command has a key vocabulary, and a key may appear once.
+  expect_parse_error("2s loss rate=0.5 fro=1s\n", "loss: unknown key 'fro='");
+  expect_parse_error("1s loss rate=0.1 rate=0.2\n",
+                     "loss: duplicate key 'rate='");
+  expect_parse_error("1s latency factor=2 link=1-2 rate=3\n",
+                     "latency: unknown key 'rate='");
+  expect_parse_error("1s churn rate=1 over=5s\n", "churn: unknown key 'over='");
+  expect_parse_error("1s noise to=0.5 for=2s\n", "noise: unknown key 'for='");
+  // 4294967295 is the reserved "no node" id. A range ending there used to
+  // wrap its loop counter and run until memory ran out.
+  expect_parse_error("1s crash nodes 4294967294..4294967295\n",
+                     "node id must be an integer in [0, 4294967294]");
+  expect_parse_error("1s loss rate=0.1 link=1-4294967295\n", "node id");
+  // Numbers are plain decimal.
+  expect_parse_error("1s loss rate=+0.1\n", "bad number");
+  expect_parse_error("1s loss rate=0x1p-3\n", "bad number");
+  expect_parse_error("1s crash best +2\n", "count must be an integer");
+  expect_parse_error("99999999999999s phase x\n", "out of range");
+}
+
+TEST(ScenarioText, RangeEndingAtLargestNodeIdTerminates) {
+  const ScenarioScript s =
+      harness::parse_scenario("1s crash nodes 4294967293..4294967294\n");
+  ASSERT_EQ(s.events.size(), 1u);
+  EXPECT_EQ(s.events[0].ids, (std::vector<NodeId>{4294967293, 4294967294}));
 }
 
 TEST(ScenarioText, LoadScenarioFileErrors) {

@@ -288,6 +288,22 @@ TEST(WorkloadText, RejectionsNameTheLine) {
                 "duplicate");
   expect_reject("publisher poisson rate=1 topic=ghost\n", "ghost");
   expect_reject("publisher poisson rate=1 on=10ms\n", "on=");
+  // Each directive has a key vocabulary, and a key may appear once.
+  expect_reject("publisher poisson rate=5 paylod=9000\n",
+                "publisher: unknown key 'paylod='");
+  expect_reject("publisher poisson rate=5 rate=6\n",
+                "publisher: duplicate key 'rate='");
+  expect_reject("topic t fractoin=0.5\npublisher poisson rate=1\n",
+                "topic: unknown key 'fractoin='");
+  // 4294967295 is the reserved "no node" id (a range ending there used to
+  // wrap), and numbers are plain decimal.
+  expect_reject("topic t nodes=4294967295..4294967295\n"
+                "publisher poisson rate=1\n",
+                "node id must be an integer in [0, 4294967294]");
+  expect_reject("publisher poisson rate=1 node=4294967295\n", "node id");
+  expect_reject("publisher poisson rate=+5\n", "bad number");
+  expect_reject("limit 0x10\npublisher poisson rate=1\n",
+                "limit must be an integer");
   // A script with no publishers is rejected at end of parse (no line).
   EXPECT_THROW(parse_workload(std::string("duration 5s\n")),
                std::runtime_error);

@@ -17,12 +17,12 @@
 //
 // Exit codes: 0 all pass, 1 runtime error, 2 usage, 3 violations.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/text_input.hpp"
 #include "expect/expect.hpp"
 #include "expect/expect_text.hpp"
 #include "trace/trace_log.hpp"
@@ -68,21 +68,20 @@ int main(int argc, char** argv) {
       if (arg == "--expect") {
         expect_paths.push_back(value);
       } else if (arg == "--nodes") {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-        if (end != value.c_str() + value.size() || v == 0 || v > 0xffffffffUL) {
+        const auto v = text::parse_uint<std::uint32_t>(value);
+        if (!v || *v == 0) {
           std::fprintf(stderr, "esm_expect: bad --nodes '%s'\n", value.c_str());
           return 2;
         }
-        nodes = static_cast<std::uint32_t>(v);
+        nodes = *v;
       } else {
-        char* end = nullptr;
-        round_ms = std::strtod(value.c_str(), &end);
-        if (end != value.c_str() + value.size() || round_ms <= 0.0) {
+        const auto v = text::parse_double(value);
+        if (!v || *v <= 0.0) {
           std::fprintf(stderr, "esm_expect: bad --round-ms '%s'\n",
                        value.c_str());
           return 2;
         }
+        round_ms = *v;
       }
     } else if (arg == "--kv") {
       kv = true;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text_input.hpp"
 #include "expect/expect.hpp"
 #include "expect/expect_text.hpp"
 #include "harness/cli.hpp"
@@ -55,11 +56,14 @@ int main(int argc, char** argv) {
       } else if (args[i] == "--expect") {
         expect_paths.push_back(args[i + 1]);
       } else {
-        reps = std::strtoull(args[i + 1].c_str(), nullptr, 10);
-        if (reps == 0) {
-          std::fprintf(stderr, "esm_run: --reps must be >= 1\n");
+        const auto parsed = text::parse_uint<std::uint64_t>(args[i + 1]);
+        if (!parsed || *parsed == 0) {
+          std::fprintf(stderr, "esm_run: --reps: must be %s, got '%s'\n",
+                       text::integer_range<std::uint64_t>(1).c_str(),
+                       args[i + 1].c_str());
           return 2;
         }
+        reps = *parsed;
       }
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                  args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
@@ -81,7 +85,7 @@ int main(int argc, char** argv) {
     options->config.collect_metrics = true;
   }
   if (!options) {
-    std::fprintf(stderr, "esm_run: %s\nTry esm_run --help\n", error.c_str());
+    std::fprintf(stderr, "esm_run: %s (see esm_run --help)\n", error.c_str());
     return 2;
   }
   if (options->help) {
@@ -92,6 +96,7 @@ int main(int argc, char** argv) {
     try {
       options->config.scenario =
           harness::load_scenario_file(options->scenario_path);
+      options->config.scenario.validate(options->config.num_nodes);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "esm_run: %s\n", e.what());
       return 2;
@@ -172,16 +177,22 @@ int main(int argc, char** argv) {
 
   std::ofstream trace_stream;
   if (!trace_stream_path.empty()) {
-    if (trace_stream_path == "-") {
-      options->config.trace_sink = &std::cout;
-    } else {
-      trace_stream.open(trace_stream_path);
-      if (!trace_stream) {
-        std::fprintf(stderr, "esm_run: cannot write %s\n",
-                     trace_stream_path.c_str());
-        return 1;
-      }
-      options->config.trace_sink = &trace_stream;
+    options->config.trace_sink =
+        trace_stream_path == "-" ? &std::cout : &trace_stream;
+  }
+  // collect_trace and trace_sink are final here, so every --shards gate
+  // is decided before the file opens or any run starts.
+  if (const std::string gate = harness::shard_gate_error(options->config);
+      !gate.empty()) {
+    std::fprintf(stderr, "esm_run: %s\n", gate.c_str());
+    return 2;
+  }
+  if (!trace_stream_path.empty() && trace_stream_path != "-") {
+    trace_stream.open(trace_stream_path);
+    if (!trace_stream) {
+      std::fprintf(stderr, "esm_run: cannot write %s\n",
+                   trace_stream_path.c_str());
+      return 1;
     }
   }
   // Exactly one machine-readable stream may own stdout; the human summary

@@ -50,14 +50,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (param.empty() || values_text.empty()) {
+    std::string names;
+    for (const char* name : harness::kSweepParams) {
+      names += ' ' + std::string(name);
+    }
     std::fprintf(stderr,
                  "esm_sweep: --param NAME and --values V1,V2,... are "
-                 "required.\nSweepable: pi u rho best noise t0-ms loss kill "
-                 "churn batch-ms interval-ms period-ms retry-rounds fanout "
-                 "nodes messages seed shards senders rate duration-ms "
-                 "burst-on-ms burst-off-ms.\nAll esm_run flags form the base "
+                 "required.\nSweepable:%s.\nAll esm_run flags form the base "
                  "configuration;\n"
-                 "--jobs N runs points concurrently (default: all cores).\n");
+                 "--jobs N runs points concurrently (default: all cores).\n",
+                 names.c_str());
     return 2;
   }
 

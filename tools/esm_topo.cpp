@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "common/text_input.hpp"
 #include "harness/table.hpp"
 #include "net/path_model.hpp"
 #include "net/routing.hpp"
@@ -28,20 +29,22 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The flag's value as a whole number that fits `out`.
+    auto uint_value = [&]<typename T>(T& out) {
+      const char* v = value();
+      const auto parsed = v == nullptr ? std::nullopt : text::parse_uint<T>(v);
+      if (!parsed) {
+        std::fprintf(stderr, "esm_topo: %s needs %s\n", flag.c_str(),
+                     text::integer_range<T>().c_str());
+        return false;
+      }
+      out = *parsed;
+      return true;
+    };
     if (flag == "--clients") {
-      const char* v = value();
-      if (v == nullptr) {
-        std::fprintf(stderr, "esm_topo: --clients needs a value\n");
-        return 2;
-      }
-      clients = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!uint_value(clients)) return 2;
     } else if (flag == "--seed") {
-      const char* v = value();
-      if (v == nullptr) {
-        std::fprintf(stderr, "esm_topo: --seed needs a value\n");
-        return 2;
-      }
-      seed = std::strtoull(v, nullptr, 10);
+      if (!uint_value(seed)) return 2;
     } else if (flag == "--csv") {
       const char* v = value();
       if (v == nullptr) {

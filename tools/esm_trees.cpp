@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text_input.hpp"
 #include "harness/cli.hpp"
 #include "harness/table.hpp"
 #include "obs/tree_stats.hpp"
@@ -44,12 +45,6 @@ Options:
   --help              this text
 )";
 
-bool parse_seconds(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != nullptr && *end == '\0' && end != text && out >= 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,11 +59,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](double& out) {
-      if (i + 1 >= argc || !parse_seconds(argv[i + 1], out)) {
+      const auto parsed =
+          i + 1 < argc ? text::parse_double(argv[i + 1]) : std::nullopt;
+      if (!parsed || *parsed < 0.0) {
         std::fprintf(stderr, "esm_trees: %s needs a non-negative number\n",
                      arg.c_str());
         return false;
       }
+      out = *parsed;
       ++i;
       return true;
     };
