@@ -1,13 +1,16 @@
 // Command-line front end for the experiment harness.
 //
-// Parsing is a pure function from argv to ExperimentConfig so it can be
-// unit-tested; the `esm_run` tool is a thin wrapper that parses, runs and
-// prints. Flags mirror the paper's knobs one-to-one.
+// One table declares every flag: its name, metavar, help text, section and
+// a typed binding into CliOptions. Parsing, --help and esm_sweep's points
+// all come from it. Parsing is a pure function from argv to CliOptions so
+// it can be unit-tested; the `esm_run` tool is a thin wrapper that
+// parses, loads input files, runs and prints. Flags mirror the paper's
+// knobs one-to-one.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/config.hpp"
@@ -22,23 +25,56 @@ struct CliOptions {
   /// --help was requested; `help_text` should be printed.
   bool help = false;
   /// --scenario FILE: fault-scenario script to load into config.scenario.
-  /// The parser stays pure (no file IO); tools load the file themselves
-  /// via load_scenario_file().
+  /// The parser stays pure (no file IO); load_input_files() reads it.
   std::string scenario_path;
   /// --workload FILE: heavy-traffic workload spec (src/load) to load into
-  /// config.workload via load_workload_file(). Mutually exclusive with the
+  /// config.workload via load_input_files(). Mutually exclusive with the
   /// inline --senders/--rate/... flags, which build config.workload
   /// directly in the parser.
   std::string workload_path;
+  /// --reps N: replications with seeds seed..seed+N-1.
+  std::uint64_t reps = 1;
+  /// --jobs N: worker threads for --reps and sweeps; 0 = hardware
+  /// concurrency.
+  unsigned jobs = 0;
+  /// Files esm_run writes or reads itself: --trace (buffered CSV),
+  /// --trace-stream (rows while the run executes), --metrics-out and the
+  /// repeatable --expect. `-` means stdout for the two streams.
+  std::string trace_path;
+  std::string trace_stream_path;
+  std::string metrics_path;
+  std::vector<std::string> expect_paths;
 };
 
-/// Usage text for `esm_run --help`.
+/// Usage text for `esm_run --help`, generated from the flag table.
 std::string cli_help_text();
 
 /// Parses CLI arguments (excluding argv[0]). On error returns nullopt and
 /// sets `error` to a one-line diagnostic naming the offending flag.
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
                                     std::string& error);
+
+/// Loads the --scenario and --workload files named in `options` into its
+/// config, then checks the final config (config_error). Returns false
+/// and sets `error` to one line when a file or the config is rejected.
+bool load_input_files(CliOptions& options, std::string& error);
+
+/// An esm_sweep invocation. Point i is exactly the config esm_run builds
+/// from the base flags followed by `--PARAM values[i]`.
+struct Sweep {
+  CliOptions base;
+  /// The --values tokens, as given; they label the points.
+  std::vector<std::string> values;
+  std::vector<ExperimentConfig> points;
+};
+
+/// Parses the base flags and every point of a sweep over the flag named
+/// `param` (without its dashes), loading input files per point, so every
+/// point is checked before any runs. The flags esm_run handles as a
+/// single run with output files are rejected.
+std::optional<Sweep> parse_sweep(const std::vector<std::string>& base,
+                                 const std::string& param,
+                                 std::string_view values, std::string& error);
 
 /// Renders an ExperimentResult as `key=value` lines (stable interface for
 /// scripts; one metric per line).
@@ -62,24 +98,5 @@ std::string format_tree_kv(const obs::TreeStats& stats);
 std::string format_metrics_json(
     const obs::RunMetrics& metrics,
     const std::vector<std::vector<stats::PhaseReport>>& phase_runs);
-
-/// Every parameter name apply_sweep_param accepts, in usage order.
-inline constexpr std::array<const char*, 24> kSweepParams = {
-    "pi", "u", "rho", "best", "noise", "t0-ms", "loss", "kill", "churn",
-    "batch-ms", "interval-ms", "period-ms", "retry-rounds", "fanout",
-    "nodes", "messages", "seed", "shards", "backpressure", "senders", "rate",
-    "duration-ms", "burst-on-ms", "burst-off-ms"};
-
-/// Applies one named sweep parameter (one of kSweepParams) to a config
-/// (used by `esm_sweep`). Integer parameters take only whole values in
-/// their type's range. Returns false and sets `error` for unknown names,
-/// invalid values, and points that fail shard_gate_error().
-bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
-                       double value, std::string& error);
-
-/// Parses a comma-separated list of numbers ("0,0.5,1"). Returns nullopt
-/// and sets `error` on malformed input.
-std::optional<std::vector<double>> parse_value_list(const std::string& text,
-                                                    std::string& error);
 
 }  // namespace esm::harness

@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include "common/compact.hpp"
@@ -279,6 +280,71 @@ std::string shard_gate_error(const ExperimentConfig& config,
   return {};
 }
 
+std::string config_error(const ExperimentConfig& config, bool scenario_file,
+                         bool workload_file) {
+  std::ostringstream os;
+  const auto fail = [&os](const std::string& rule, double value) {
+    os << rule << ", got " << value;
+    return os.str();
+  };
+  const auto in = [](double v, double lo, double hi) {
+    return v >= lo && v <= hi;
+  };
+  const StrategySpec& s = config.strategy;
+  // The static overlay builds a ring, the others need one peer; the
+  // oracle overlay has no view.
+  const bool ring = config.overlay_kind == OverlayKind::static_random;
+  const std::uint32_t min_nodes = ring ? 3 : 2;
+  const std::uint32_t min_degree =
+      ring ? 2 : config.overlay_kind == OverlayKind::oracle ? 0 : 1;
+  if (config.num_nodes < min_nodes) {
+    return fail("--nodes: must be >= " + std::to_string(min_nodes),
+                config.num_nodes);
+  }
+  if (!(config.kill_fraction >= 0.0 && config.kill_fraction < 1.0)) {
+    return fail("--kill: must be in [0, 1)", config.kill_fraction);
+  }
+  if (s.kind == StrategyKind::flat && !in(s.pi, 0.0, 1.0)) {
+    return fail("--pi: must be in [0, 1]", s.pi);
+  }
+  // Any noise wraps the strategy, and so does a scenario noise ramp.
+  if ((s.noise > 0.0 || config.scenario.has_noise_events()) &&
+      !in(s.noise, 0.0, 1.0)) {
+    return fail("--noise: must be in [0, 1]", s.noise);
+  }
+  if (!(config.loss_rate >= 0.0 && config.loss_rate < 1.0)) {
+    return fail("--loss: must be in [0, 1)", config.loss_rate);
+  }
+  if (config.gossip.fanout < 1) {
+    return fail("--fanout: must be >= 1", config.gossip.fanout);
+  }
+  if (config.gossip.max_rounds < 1) {
+    return fail("--rounds: must be >= 1", config.gossip.max_rounds);
+  }
+  if (config.overlay.view_size < min_degree) {
+    return fail("--degree: must be >= " + std::to_string(min_degree),
+                config.overlay.view_size);
+  }
+  if (config.workload.empty() && !workload_file &&
+      config.single_sender != kInvalidNode &&
+      config.single_sender >= config.num_nodes) {
+    return fail("--sender: must be a node below --nodes " +
+                    std::to_string(config.num_nodes),
+                config.single_sender);
+  }
+  // The transport sees watermarks only with backpressure on a bounded
+  // buffer, and checks them only when both are set.
+  const double high = config.bp_high_watermark;
+  const double low = config.bp_low_watermark;
+  if (config.backpressure && config.egress_buffer_bytes > 0 && high > 0.0 &&
+      low > 0.0 && !in(high, low, 1.0)) {
+    std::ostringstream rule;
+    rule << "--bp-high: must be in [--bp-low, 1] with --bp-low " << low;
+    return fail(rule.str(), high);
+  }
+  return shard_gate_error(config, scenario_file);
+}
+
 namespace {
 
 /// The event engine of one run, and the only code that branches on the
@@ -541,11 +607,8 @@ class Assembly {
 // --- 1. World: workload plan, underlay, routing, ranking, transport ------
 
 void Assembly::build_world() {
-  const std::string gate = shard_gate_error(config_);
-  ESM_CHECK(gate.empty(), gate.c_str());
-  ESM_CHECK(config_.num_nodes >= 2, "need at least two nodes");
-  ESM_CHECK(config_.kill_fraction >= 0.0 && config_.kill_fraction < 1.0,
-            "kill fraction must be in [0, 1)");
+  const std::string error = config_error(config_);
+  ESM_CHECK(error.empty(), error.c_str());
   config_.scenario.validate(config_.num_nodes);
   const std::uint32_t n = config_.num_nodes;
 

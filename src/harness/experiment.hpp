@@ -197,7 +197,7 @@ struct ExperimentResult {
 };
 
 /// Runs one experiment. Deterministic given the config (including seed).
-/// Throws esm::CheckFailure when shard_gate_error(config) is non-empty.
+/// Throws esm::CheckFailure when config_error(config) is non-empty.
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// Empty when `config` can run at its shard count; otherwise a one-line
@@ -207,6 +207,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
 /// paths before it reads files).
 std::string shard_gate_error(const ExperimentConfig& config,
                              bool scenario_file = false);
+
+/// Empty when `config` can run; otherwise a one-line reason naming the
+/// flag at fault. It rejects exactly the values a module's ESM_CHECK would
+/// abort the run on (--nodes, --kill, --pi for flat, --noise, --loss,
+/// --fanout, --rounds, --degree for the chosen overlay, --sender, the
+/// backpressure watermarks), then applies shard_gate_error. The CLI checks
+/// flags before it reads files: `scenario_file` and `workload_file` mark
+/// files named but not loaded into `config` yet.
+std::string config_error(const ExperimentConfig& config,
+                         bool scenario_file = false,
+                         bool workload_file = false);
 
 /// Ranks nodes by closeness centrality over the path model (lower mean
 /// latency to all others = better), best first. This is the oracle node

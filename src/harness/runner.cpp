@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -7,7 +8,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/text_input.hpp"
+#include "harness/cli.hpp"
 
 namespace esm::harness {
 
@@ -18,23 +19,14 @@ unsigned default_jobs() {
 
 unsigned extract_jobs_flag(std::vector<std::string>& args,
                            std::string& error) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != "--jobs") continue;
-    if (i + 1 >= args.size()) {
-      error = "--jobs requires a value";
-      return 0;
-    }
-    const auto jobs = text::parse_uint<unsigned>(args[i + 1]);
-    if (!jobs) {
-      error = "--jobs: must be " + text::integer_range<unsigned>() +
-              ", got '" + args[i + 1] + "'";
-      return 0;
-    }
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return *jobs == 0 ? default_jobs() : *jobs;
-  }
-  return default_jobs();
+  const auto at = std::find(args.begin(), args.end(), "--jobs");
+  if (at == args.end()) return default_jobs();
+  // The --jobs row of the flag table parses it, so both say the same.
+  const auto end = at + std::min<std::ptrdiff_t>(2, args.end() - at);
+  const auto options = parse_cli(std::vector<std::string>(at, end), error);
+  if (!options) return 0;
+  args.erase(at, end);
+  return options->jobs == 0 ? default_jobs() : options->jobs;
 }
 
 std::vector<ExperimentResult> run_experiments(

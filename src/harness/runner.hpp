@@ -20,10 +20,11 @@ namespace esm::harness {
 /// Default worker count: hardware_concurrency, min 1.
 unsigned default_jobs();
 
-/// Parses "--jobs N" out of `args` (mutating it) the way the sweep tools
-/// do for their own flags. Returns default_jobs() when absent; sets `error`
-/// and returns 0 on a malformed value (0 itself is never a valid result —
-/// "--jobs 0" means "auto" and maps to default_jobs()).
+/// Parses "--jobs N" out of `args` (mutating it) for the bench tools,
+/// which take no other esm_run flag, with the --jobs row of parse_cli.
+/// Returns default_jobs() when absent; sets `error` and returns 0 on a
+/// malformed value (0 itself is never a valid result — "--jobs 0" means
+/// "auto" and maps to default_jobs()).
 unsigned extract_jobs_flag(std::vector<std::string>& args, std::string& error);
 
 /// Runs every config through run_experiment() on a pool of `jobs` worker

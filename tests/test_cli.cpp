@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <type_traits>
+
 #include "common/check.hpp"
 
 namespace esm::harness {
@@ -12,6 +18,237 @@ std::optional<CliOptions> parse(std::vector<std::string> args) {
   auto result = parse_cli(args, error);
   EXPECT_TRUE(result.has_value()) << error;
   return result;
+}
+
+/// The one point of a sweep over `name` at `value`, from `base`.
+std::optional<ExperimentConfig> point(const std::vector<std::string>& base,
+                                      const std::string& name,
+                                      const std::string& value,
+                                      std::string& error) {
+  const auto sweep = parse_sweep(base, name, value, error);
+  if (!sweep) return std::nullopt;
+  return sweep->points.at(0);
+}
+
+/// A field read back as text, so every case compares the same way.
+template <typename T>
+std::string text(const T& value) {
+  if constexpr (std::is_enum_v<T>) {
+    return std::to_string(static_cast<int>(value));
+  } else {
+    std::ostringstream os;
+    os.precision(17);
+    os << value;
+    return os.str();
+  }
+}
+
+/// One esm_run flag: `prefix` (flags it needs), the flag with its value
+/// (none for a switch), the field it lands in, and that field's expected
+/// value.
+struct FlagCase {
+  std::vector<std::string> prefix;
+  std::string flag;
+  std::string value;
+  std::function<std::string(const CliOptions&)> field;
+  std::string expected;
+};
+
+std::vector<FlagCase> flag_cases() {
+  using O = const CliOptions&;
+  const std::vector<std::string> none;
+  const std::vector<std::string> senders = {"--senders", "1"};
+  return {
+      {none, "--strategy", "ttl", [](O o) { return text(o.config.strategy.kind); }, text(StrategyKind::ttl)},
+      {none, "--pi", "0.3", [](O o) { return text(o.config.strategy.pi); }, "0.29999999999999999"},
+      {none, "--u", "3", [](O o) { return text(o.config.strategy.u); }, "3"},
+      {none, "--rho", "12.5", [](O o) { return text(o.config.strategy.rho); }, "12.5"},
+      {none, "--best", "0.5", [](O o) { return text(o.config.strategy.best_fraction); }, "0.5"},
+      {none, "--gossip-rank", "", [](O o) { return text(o.config.strategy.use_gossip_rank); }, "1"},
+      {none, "--monitor", "ping", [](O o) { return text(o.config.strategy.monitor); }, text(MonitorKind::ping)},
+      {none, "--noise", "0.25", [](O o) { return text(o.config.strategy.noise); }, "0.25"},
+      {none, "--t0", "50", [](O o) { return text(o.config.strategy.t0); }, "50000"},
+      {none, "--nodes", "60", [](O o) { return text(o.config.num_nodes); }, "60"},
+      {none, "--messages", "99", [](O o) { return text(o.config.num_messages); }, "99"},
+      {none, "--payload", "1024", [](O o) { return text(o.config.payload_bytes); }, "1024"},
+      {none, "--interval-ms", "250", [](O o) { return text(o.config.mean_interval); }, "250000"},
+      {none, "--seed", "7", [](O o) { return text(o.config.seed); }, "7"},
+      {none, "--path-model", "ondemand", [](O o) { return text(o.config.path_model); }, text(net::PathModelKind::ondemand)},
+      {none, "--path-cache-mb", "64", [](O o) { return text(o.config.path_cache_bytes); }, "67108864"},
+      {none, "--sender", "3", [](O o) { return text(o.config.single_sender); }, "3"},
+      {none, "--loss", "0.25", [](O o) { return text(o.config.loss_rate); }, "0.25"},
+      {none, "--bandwidth", "2000000", [](O o) { return text(o.config.bandwidth_bps); }, "2000000"},
+      {none, "--buffer", "65536", [](O o) { return text(o.config.egress_buffer_bytes); }, "65536"},
+      {none, "--purge", "oldest", [](O o) { return text(o.config.purge_policy); }, text(net::TransportOptions::PurgePolicy::drop_oldest)},
+      {{"--buffer", "1"}, "--backpressure", "on", [](O o) { return text(o.config.backpressure); }, "1"},
+      {none, "--bp-high", "0.875", [](O o) { return text(o.config.bp_high_watermark); }, "0.875"},
+      {none, "--bp-low", "0.125", [](O o) { return text(o.config.bp_low_watermark); }, "0.125"},
+      {none, "--bp-replies", "2", [](O o) { return text(o.config.bp_max_replies_per_dst); }, "2"},
+      {none, "--pull-sched", "rarest", [](O o) { return text(o.config.pull_sched); }, text(core::PullOrder::rarest)},
+      {none, "--slow", "0.25", [](O o) { return text(o.config.slow_fraction); }, "0.25"},
+      {none, "--slow-bandwidth", "500000", [](O o) { return text(o.config.slow_bandwidth_bps); }, "500000"},
+      {none, "--adaptive-fanout", "", [](O o) { return text(o.config.adaptive_fanout); }, "1"},
+      {none, "--workload", "x.wl", [](O o) { return o.workload_path; }, "x.wl"},
+      {none, "--senders", "4", [](O o) { return text(o.config.workload.publishers.size()); }, "4"},
+      {senders, "--arrival", "burst", [](O o) { return text(o.config.workload.publishers.at(0).arrival); }, text(load::ArrivalKind::burst)},
+      {senders, "--rate", "20", [](O o) { return text(o.config.workload.publishers.at(0).rate); }, "20"},
+      {senders, "--duration-ms", "5000", [](O o) { return text(o.config.workload.duration); }, "5000000"},
+      {senders, "--burst-on-ms", "250", [](O o) { return text(o.config.workload.publishers.at(0).burst_on); }, "250000"},
+      {senders, "--burst-off-ms", "750", [](O o) { return text(o.config.workload.publishers.at(0).burst_off); }, "750000"},
+      {senders, "--topics", "2", [](O o) { return text(o.config.workload.topics.size()); }, "2"},
+      {{"--senders", "1", "--topics", "1"}, "--topic-fraction", "0.5", [](O o) { return text(o.config.workload.topics.at(0).fraction); }, "0.5"},
+      {none, "--fanout", "9", [](O o) { return text(o.config.gossip.fanout); }, "9"},
+      {none, "--rounds", "6", [](O o) { return text(o.config.gossip.max_rounds); }, "6"},
+      {none, "--degree", "20", [](O o) { return text(o.config.overlay.view_size); }, "20"},
+      {none, "--period-ms", "200", [](O o) { return text(o.config.retransmission_period); }, "200000"},
+      {none, "--retry-rounds", "3", [](O o) { return text(o.config.max_request_rounds); }, "3"},
+      {none, "--batch-ms", "25", [](O o) { return text(o.config.ihave_batch_window); }, "25000"},
+      {none, "--overlay", "hyparview", [](O o) { return text(o.config.overlay_kind); }, text(OverlayKind::hyparview)},
+      {none, "--oracle-sampler", "", [](O o) { return text(o.config.overlay_kind); }, text(OverlayKind::oracle)},
+      {none, "--static-overlay", "", [](O o) { return text(o.config.overlay_kind); }, text(OverlayKind::static_random)},
+      {none, "--exclude-sender", "", [](O o) { return text(o.config.gossip.exclude_sender); }, "1"},
+      {none, "--wire", "", [](O o) { return text(o.config.use_wire_codec); }, "1"},
+      {none, "--kill", "0.25", [](O o) { return text(o.config.kill_fraction) + " " + text(o.config.kill_mode); }, "0.25 " + text(KillMode::random)},
+      {none, "--kill-mode", "best", [](O o) { return text(o.config.kill_mode); }, text(KillMode::best_ranked)},
+      {none, "--churn", "1.5", [](O o) { return text(o.config.churn_rate); }, "1.5"},
+      {none, "--scenario", "x.scn", [](O o) { return o.scenario_path; }, "x.scn"},
+      {none, "--shards", "4", [](O o) { return text(o.config.shards); }, "4"},
+      {none, "--kv", "", [](O o) { return text(o.json); }, "1"},
+      {none, "--tree-stats", "", [](O o) { return text(o.config.collect_tree_stats); }, "1"},
+      {none, "--help", "", [](O o) { return text(o.help); }, "1"},
+      // esm_run's own flags land in CliOptions.
+      {none, "--reps", "3", [](O o) { return text(o.reps); }, "3"},
+      {none, "--jobs", "2", [](O o) { return text(o.jobs); }, "2"},
+      {none, "--trace", "t.csv", [](O o) { return o.trace_path + " " + text(o.config.collect_trace); }, "t.csv 1"},
+      {none, "--trace-stream", "t.csv", [](O o) { return o.trace_stream_path; }, "t.csv"},
+      {none, "--metrics-out", "m.json", [](O o) { return o.metrics_path + " " + text(o.config.collect_metrics); }, "m.json 1"},
+      {{"--expect", "a.exp"}, "--expect", "b.exp", [](O o) { return text(o.expect_paths.size()) + " " + o.expect_paths.back(); }, "2 b.exp"},
+  };
+}
+
+TEST(Cli, EveryFlagLandsInConfig) {
+  for (const FlagCase& fc : flag_cases()) {
+    std::vector<std::string> args = fc.prefix;
+    args.push_back(fc.flag);
+    if (!fc.value.empty()) args.push_back(fc.value);
+    const auto options = parse(args);
+    ASSERT_TRUE(options) << fc.flag;
+    EXPECT_EQ(fc.field(*options), fc.expected) << fc.flag;
+    // The field is untouched without the flag.
+    const auto without = parse(fc.prefix);
+    ASSERT_TRUE(without) << fc.flag;
+    EXPECT_NE(fc.field(*without), fc.expected) << fc.flag;
+  }
+}
+
+TEST(Cli, HelpListsEveryFlagOnce) {
+  // A flag's entry starts "  --name"; its continuation lines are indented
+  // further.
+  std::map<std::string, int> starts;
+  std::map<std::string, std::string> entries;
+  std::istringstream help(cli_help_text());
+  std::string flag;
+  for (std::string line; std::getline(help, line);) {
+    std::istringstream words(line);
+    if (line.rfind("  --", 0) == 0) {
+      words >> flag;
+      ++starts[flag];
+    } else if (line.rfind("     ", 0) != 0) {
+      flag.clear();
+      continue;
+    }
+    for (std::string word; words >> word;) entries[flag] += word + " ";
+  }
+  const std::vector<FlagCase> cases = flag_cases();
+  EXPECT_EQ(cases.size(), 63u);
+  EXPECT_EQ(starts.size(), cases.size());
+  int defaults = 0;
+  for (const FlagCase& fc : cases) {
+    EXPECT_EQ(starts[fc.flag], 1) << fc.flag;
+    // A printed default, fed back to its flag, leaves the field as a
+    // default-constructed config has it.
+    const std::string& entry = entries[fc.flag];
+    const std::size_t at = entry.rfind("(default ");
+    if (at == std::string::npos) continue;
+    ++defaults;
+    const std::size_t from = at + 9;
+    const std::string value = entry.substr(from, entry.find(')', from) - from);
+    std::vector<std::string> args = fc.prefix;
+    args.insert(args.end(), {fc.flag, value});
+    const auto options = parse(args);
+    ASSERT_TRUE(options) << fc.flag << " " << value;
+    EXPECT_EQ(fc.field(*options), fc.field(*parse(fc.prefix)))
+        << fc.flag << " " << value;
+  }
+  EXPECT_GE(defaults, 40);
+}
+
+TEST(Cli, SweepRejectsBeforeAnyRun) {
+  // Values a module would abort the run on exit 2 with one line, from
+  // esm_run's flags and from every sweep point, before any point runs.
+  const std::vector<std::string> small = {"--nodes", "20", "--messages", "5"};
+  const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
+      {{"--kill", "1"}, "--kill: must be in [0, 1), got 1"},
+      {{"--pi", "2"}, "--pi: must be in [0, 1], got 2"},
+      {{"--loss", "1.5"}, "--loss: must be in [0, 1), got 1.5"},
+      {{"--noise", "2"}, "--noise: must be in [0, 1], got 2"},
+      {{"--fanout", "0"}, "--fanout: must be >= 1, got 0"},
+      {{"--rounds", "0"}, "--rounds: must be >= 1, got 0"},
+      {{"--degree", "0"}, "--degree: must be >= 1, got 0"},
+      {{"--nodes", "1"}, "--nodes: must be >= 2, got 1"},
+      {{"--sender", "500"}, "--sender: must be a node below --nodes 20, got 500"},
+      {{"--buffer", "1000", "--backpressure", "on", "--bp-low", "0.9",
+        "--bp-high", "0.2"},
+       "--bp-high: must be in [--bp-low, 1] with --bp-low 0.9, got 0.2"},
+  };
+  std::string error;
+  for (const auto& [flags, message] : bad) {
+    std::vector<std::string> args = small;
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_FALSE(parse_cli(args, error)) << message;
+    EXPECT_EQ(error, message);
+    // The same value as a sweep point. The watermark base is already
+    // out of range at the default --bp-high, so compare up to ", got".
+    const std::vector<std::string> base(args.begin(), args.end() - 2);
+    EXPECT_FALSE(point(base, flags[flags.size() - 2].substr(2), flags.back(),
+                       error));
+    EXPECT_EQ(error.substr(0, error.find(", got")),
+              message.substr(0, message.find(", got")));
+  }
+  // The first two points are fine; the third stops the sweep.
+  EXPECT_FALSE(parse_sweep({"--nodes", "2000", "--messages", "20"}, "pi",
+                           "0,0.5,2", error));
+  EXPECT_EQ(error, "--pi: must be in [0, 1], got 2");
+  // Only values the run would abort on: pi is unused by ttl.
+  EXPECT_TRUE(parse({"--strategy", "ttl", "--pi", "2"}));
+  EXPECT_TRUE(point({"--strategy", "ttl"}, "pi", "2", error)) << error;
+  EXPECT_TRUE(point({"--overlay", "oracle"}, "degree", "0", error)) << error;
+
+  // Each point's input files are checked against its own --nodes.
+  const std::string scn = ESM_SOURCE_DIR "/examples/partition_heal.scn";
+  std::vector<std::string> args = small;
+  args.insert(args.end(), {"--scenario", scn});
+  EXPECT_FALSE(point(args, "pi", "1", error));
+  EXPECT_NE(error.find("scenario"), std::string::npos) << error;
+  EXPECT_TRUE(point({"--scenario", scn}, "pi", "1", error)) << error;
+  const std::string wl = testing::TempDir() + "cli_node_50.wl";
+  std::ofstream(wl) << "publisher poisson rate=5 node=50\n";
+  EXPECT_TRUE(parse_sweep({"--workload", wl}, "nodes", "100", error))
+      << error;
+  EXPECT_FALSE(parse_sweep({"--workload", wl}, "nodes", "100,20", error));
+
+  // Inline workload flags need --senders, and never shape a .wl file.
+  EXPECT_FALSE(point({}, "duration-ms", "1000", error));
+  EXPECT_EQ(error.rfind("--senders: required", 0), 0u) << error;
+  EXPECT_FALSE(point({"--workload", wl}, "rate", "20", error));
+  EXPECT_EQ(error, "--workload: cannot be combined with inline workload flags");
+  // A sweep point is one run without output files.
+  for (const char* flag :
+       {"--reps", "--trace", "--trace-stream", "--metrics-out", "--expect"}) {
+    EXPECT_FALSE(point({flag, "2"}, "pi", "1", error)) << flag;
+    EXPECT_EQ(error.rfind(flag, 0), 0u) << error;
+    EXPECT_FALSE(point({}, std::string(flag).substr(2), "2", error)) << flag;
+  }
 }
 
 TEST(Cli, DefaultsMatchPaperConfiguration) {
@@ -211,33 +448,29 @@ TEST(Cli, ShardsFlagParsesAndGates) {
 }
 
 TEST(Cli, ShardsSweepParam) {
-  ExperimentConfig config;
   std::string error;
-  EXPECT_TRUE(apply_sweep_param(config, "shards", 8.0, error));
-  EXPECT_EQ(config.shards, 8u);
-  EXPECT_FALSE(apply_sweep_param(config, "shards", 0.0, error));
+  const auto config = point({}, "shards", "8", error);
+  ASSERT_TRUE(config) << error;
+  EXPECT_EQ(config->shards, 8u);
+  EXPECT_FALSE(point({}, "shards", "0", error));
 }
 
 TEST(Cli, SweepPointsMeetShardGates) {
-  // A sweep point can enter a gated combination its parsed base config was
-  // not in. apply_sweep_param rejects it before any point runs, with the
-  // same line parse_cli and run_experiment use.
+  // A sweep point can enter a gated combination its base flags were not
+  // in. parse_sweep rejects it before any point runs, with the same line
+  // parse_cli and run_experiment use.
   std::string error;
-  const auto churn = parse({"--churn", "2"});
-  ASSERT_TRUE(churn);
-  ExperimentConfig c = churn->config;
-  EXPECT_TRUE(apply_sweep_param(c, "shards", 1.0, error));
-  EXPECT_FALSE(apply_sweep_param(c, "shards", 2.0, error));
+  EXPECT_TRUE(point({"--churn", "2"}, "shards", "1", error));
+  EXPECT_FALSE(point({"--churn", "2"}, "shards", "2", error));
   EXPECT_NE(error.find("--shards"), std::string::npos);
   EXPECT_NE(error.find("--churn"), std::string::npos);
+  ExperimentConfig c = parse({"--churn", "2"})->config;
+  c.shards = 2;
   EXPECT_EQ(error, shard_gate_error(c));
   EXPECT_THROW(run_experiment(c), CheckFailure);
 
-  const auto sharded = parse({"--shards", "2"});
-  ASSERT_TRUE(sharded);
-  c = sharded->config;
-  EXPECT_TRUE(apply_sweep_param(c, "noise", 0.0, error));
-  EXPECT_FALSE(apply_sweep_param(c, "noise", 0.5, error));
+  EXPECT_TRUE(point({"--shards", "2"}, "noise", "0", error));
+  EXPECT_FALSE(point({"--shards", "2"}, "noise", "0.5", error));
   EXPECT_NE(error.find("--shards"), std::string::npos);
   EXPECT_NE(error.find("--noise"), std::string::npos);
 }
@@ -301,58 +534,75 @@ TEST(Cli, FormatResultKvIsParseable) {
 }
 
 TEST(Cli, ApplySweepParamCoversAllNames) {
+  // Each step sweeps one more flag over the flags swept so far.
+  std::vector<std::string> base;
   ExperimentConfig c;
   std::string error;
-  EXPECT_TRUE(apply_sweep_param(c, "pi", 0.3, error));
+  const auto sweep = [&](const std::string& name, const std::string& value) {
+    const auto p = point(base, name, value, error);
+    if (!p) return false;
+    c = *p;
+    base.insert(base.end(), {"--" + name, value});
+    return true;
+  };
+  EXPECT_TRUE(sweep("pi", "0.3"));
   EXPECT_DOUBLE_EQ(c.strategy.pi, 0.3);
-  EXPECT_TRUE(apply_sweep_param(c, "u", 4, error));
+  EXPECT_TRUE(sweep("u", "4"));
   EXPECT_EQ(c.strategy.u, 4u);
-  EXPECT_TRUE(apply_sweep_param(c, "rho", 12.5, error));
+  EXPECT_TRUE(sweep("rho", "12.5"));
   EXPECT_DOUBLE_EQ(c.strategy.rho, 12.5);
-  EXPECT_TRUE(apply_sweep_param(c, "best", 0.1, error));
-  EXPECT_TRUE(apply_sweep_param(c, "noise", 0.4, error));
-  EXPECT_TRUE(apply_sweep_param(c, "t0-ms", 50, error));
+  EXPECT_TRUE(sweep("best", "0.1"));
+  EXPECT_TRUE(sweep("noise", "0.4"));
+  EXPECT_TRUE(sweep("t0", "50"));
   EXPECT_EQ(c.strategy.t0, 50 * kMillisecond);
-  EXPECT_TRUE(apply_sweep_param(c, "loss", 0.01, error));
-  EXPECT_TRUE(apply_sweep_param(c, "kill", 0.2, error));
+  EXPECT_TRUE(sweep("loss", "0.01"));
+  EXPECT_TRUE(sweep("kill", "0.2"));
   EXPECT_EQ(c.kill_mode, KillMode::random);  // auto-defaulted
-  EXPECT_TRUE(apply_sweep_param(c, "churn", 1.0, error));
-  EXPECT_TRUE(apply_sweep_param(c, "batch-ms", 25, error));
+  EXPECT_TRUE(sweep("churn", "1.0"));
+  EXPECT_TRUE(sweep("batch-ms", "25"));
   EXPECT_EQ(c.ihave_batch_window, 25 * kMillisecond);
-  EXPECT_TRUE(apply_sweep_param(c, "interval-ms", 200, error));
-  EXPECT_TRUE(apply_sweep_param(c, "period-ms", 300, error));
-  EXPECT_TRUE(apply_sweep_param(c, "fanout", 7, error));
+  EXPECT_TRUE(sweep("interval-ms", "200"));
+  EXPECT_TRUE(sweep("period-ms", "300"));
+  EXPECT_TRUE(sweep("fanout", "7"));
   EXPECT_EQ(c.gossip.fanout, 7u);
-  EXPECT_TRUE(apply_sweep_param(c, "nodes", 64, error));
-  EXPECT_TRUE(apply_sweep_param(c, "messages", 99, error));
-  EXPECT_TRUE(apply_sweep_param(c, "seed", 5, error));
-  EXPECT_FALSE(apply_sweep_param(c, "flux-capacitor", 1.21, error));
+  EXPECT_TRUE(sweep("nodes", "64"));
+  EXPECT_TRUE(sweep("messages", "99"));
+  EXPECT_TRUE(sweep("seed", "5"));
+  EXPECT_FALSE(sweep("flux-capacitor", "1.21"));
   EXPECT_NE(error.find("flux-capacitor"), std::string::npos);
 
-  // Every name in the list esm_sweep prints is one apply_sweep_param knows.
-  for (const char* name : kSweepParams) {
-    ExperimentConfig fresh;
+  // Sweep names are flag names: every flag that takes a value, listed
+  // first the knobs the paper's figures sweep.
+  std::vector<std::string> names = {
+      "pi", "u", "rho", "best", "noise", "t0", "loss", "kill", "churn",
+      "batch-ms", "interval-ms", "period-ms", "retry-rounds", "fanout",
+      "nodes", "messages", "seed", "shards", "backpressure", "senders",
+      "rate", "duration-ms", "burst-on-ms", "burst-off-ms"};
+  for (const FlagCase& fc : flag_cases()) {
+    if (!fc.value.empty()) names.push_back(fc.flag.substr(2));
+  }
+  for (const std::string& name : names) {
     error.clear();
-    apply_sweep_param(fresh, name, 1.0, error);
+    point({}, name, "1", error);
     EXPECT_EQ(error.find("unknown sweep parameter"), std::string::npos)
         << name;
   }
-  // Integer parameters take only whole values in their field's range:
-  // -5 nodes used to abort, fanout -1 ran as 4294967295 and u 2.5 as 2.
+  // Integer flags take only whole values in their field's range: -5 nodes
+  // used to abort, fanout -1 ran as 4294967295 and u 2.5 as 2.
   for (const char* name : {"u", "retry-rounds", "fanout", "nodes",
                            "messages", "seed", "shards", "senders"}) {
-    for (const double bad : {-5.0, -1.0, 2.5, 1e20}) {
-      ExperimentConfig fresh;
-      EXPECT_FALSE(apply_sweep_param(fresh, name, bad, error))
-          << name << " " << bad;
-      EXPECT_EQ(error.rfind(std::string(name) + ": must be an integer in [", 0),
-                0u)
+    for (const char* bad : {"-5", "-1", "2.5", "1e20"}) {
+      EXPECT_FALSE(point({}, name, bad, error)) << name << " " << bad;
+      EXPECT_EQ(
+          error.rfind("--" + std::string(name) + ": must be an integer in [",
+                      0),
+          0u)
           << error;
     }
   }
-  EXPECT_FALSE(apply_sweep_param(c, "nodes", 4294967296.0, error));
-  EXPECT_EQ(error, "nodes: must be an integer in [0, 4294967295], got "
-                   "4294967296");
+  EXPECT_FALSE(point(base, "nodes", "4294967296", error));
+  EXPECT_EQ(error, "--nodes: must be an integer in [0, 4294967295], got "
+                   "'4294967296'");
 }
 
 TEST(Cli, WorkloadFlagsBuildSpec) {
@@ -472,39 +722,48 @@ TEST(Cli, PhaseKvIncludesLoadRates) {
 }
 
 TEST(Cli, ApplySweepParamWorkloadNames) {
-  ExperimentConfig c;
   std::string error;
   // rate/burst knobs need a workload to act on.
-  EXPECT_FALSE(apply_sweep_param(c, "rate", 20, error));
+  EXPECT_FALSE(point({}, "rate", "20", error));
   EXPECT_NE(error.find("rate"), std::string::npos);
-  EXPECT_TRUE(apply_sweep_param(c, "senders", 8, error));
-  ASSERT_EQ(c.workload.publishers.size(), 8u);
-  EXPECT_TRUE(apply_sweep_param(c, "rate", 20, error));
-  for (const auto& pub : c.workload.publishers) {
+  auto c = point({}, "senders", "8", error);
+  ASSERT_TRUE(c) << error;
+  ASSERT_EQ(c->workload.publishers.size(), 8u);
+  const std::vector<std::string> eight = {"--senders", "8"};
+  c = point(eight, "rate", "20", error);
+  ASSERT_TRUE(c) << error;
+  for (const auto& pub : c->workload.publishers) {
     EXPECT_DOUBLE_EQ(pub.rate, 20.0);
   }
-  EXPECT_TRUE(apply_sweep_param(c, "duration-ms", 4000, error));
-  EXPECT_EQ(c.workload.duration, 4 * kSecond);
-  EXPECT_TRUE(apply_sweep_param(c, "burst-on-ms", 250, error));
-  EXPECT_EQ(c.workload.publishers[0].burst_on, 250 * kMillisecond);
-  EXPECT_TRUE(apply_sweep_param(c, "burst-off-ms", 750, error));
-  EXPECT_EQ(c.workload.publishers[0].burst_off, 750 * kMillisecond);
-  // Shrinking keeps the (possibly customized) first spec as the template.
-  c.workload.publishers.front().rate = 99.0;
-  EXPECT_TRUE(apply_sweep_param(c, "senders", 2, error));
-  ASSERT_EQ(c.workload.publishers.size(), 2u);
-  EXPECT_DOUBLE_EQ(c.workload.publishers[1].rate, 99.0);
-  EXPECT_FALSE(apply_sweep_param(c, "senders", 0, error));
-  EXPECT_FALSE(apply_sweep_param(c, "rate", -1, error));
+  c = point(eight, "duration-ms", "4000", error);
+  ASSERT_TRUE(c) << error;
+  EXPECT_EQ(c->workload.duration, 4 * kSecond);
+  c = point(eight, "burst-on-ms", "250", error);
+  ASSERT_TRUE(c) << error;
+  EXPECT_EQ(c->workload.publishers[0].burst_on, 250 * kMillisecond);
+  c = point(eight, "burst-off-ms", "750", error);
+  ASSERT_TRUE(c) << error;
+  EXPECT_EQ(c->workload.publishers[0].burst_off, 750 * kMillisecond);
+  // Shrinking keeps a customized rate.
+  c = point({"--senders", "8", "--rate", "99"}, "senders", "2", error);
+  ASSERT_TRUE(c) << error;
+  ASSERT_EQ(c->workload.publishers.size(), 2u);
+  EXPECT_DOUBLE_EQ(c->workload.publishers[1].rate, 99.0);
+  EXPECT_FALSE(point(eight, "senders", "0", error));
+  EXPECT_FALSE(point(eight, "rate", "-1", error));
 }
 
 TEST(Cli, ParseValueList) {
   std::string error;
-  const auto ok = parse_value_list("0,0.5,1e2,-3", error);
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(*ok, (std::vector<double>{0, 0.5, 100, -3}));
-  EXPECT_FALSE(parse_value_list("1,two,3", error));
-  EXPECT_FALSE(parse_value_list("", error));
+  const auto ok = parse_sweep({}, "rho", "0,0.5,1e2,-3", error);
+  ASSERT_TRUE(ok) << error;
+  std::vector<double> rho;
+  for (const ExperimentConfig& c : ok->points) rho.push_back(c.strategy.rho);
+  EXPECT_EQ(rho, (std::vector<double>{0, 0.5, 100, -3}));
+  // Points are labelled by their tokens, as given.
+  EXPECT_EQ(ok->values, (std::vector<std::string>{"0", "0.5", "1e2", "-3"}));
+  EXPECT_FALSE(parse_sweep({}, "rho", "1,two,3", error));
+  EXPECT_FALSE(parse_sweep({}, "rho", "", error));
 }
 
 TEST(Cli, EndToEndSmallRun) {

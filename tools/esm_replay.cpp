@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
       latency_stat.add(to_ms(d.latency));
     }
   }
-  std::uint32_t min_deliveries = 0xffffffffu, max_deliveries = 0;
+  // A trace without deliveries reads 0 / 0.
+  std::uint32_t min_deliveries = deliveries_by_seq.empty() ? 0 : 0xffffffffu;
+  std::uint32_t max_deliveries = 0;
   for (const auto& [seq, count] : deliveries_by_seq) {
     min_deliveries = std::min(min_deliveries, count);
     max_deliveries = std::max(max_deliveries, count);

@@ -14,76 +14,19 @@
 #include <string>
 #include <vector>
 
-#include "common/text_input.hpp"
 #include "expect/expect.hpp"
 #include "expect/expect_text.hpp"
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
-#include "harness/scenario_text.hpp"
 #include "harness/table.hpp"
-#include "load/workload_text.hpp"
 #include "stats/running.hpp"
 
 int main(int argc, char** argv) {
   using namespace esm;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  // --trace FILE, --trace-stream FILE, --metrics-out FILE, --expect FILE
-  // and --reps N are handled here (file IO and replication are the tool's
-  // business, not the parser's). --trace buffers the run's events and
-  // writes them at the end; --trace-stream writes rows while the run
-  // executes, so memory stays bounded at large N. `-` means stdout for
-  // --metrics-out and --trace-stream.
-  std::string trace_path;
-  std::string trace_stream_path;
-  std::string metrics_path;
-  std::vector<std::string> expect_paths;
-  std::uint64_t reps = 1;
-  for (std::size_t i = 0; i < args.size();) {
-    if (args[i] == "--trace" || args[i] == "--trace-stream" ||
-        args[i] == "--metrics-out" || args[i] == "--expect" ||
-        args[i] == "--reps") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "esm_run: %s requires a value\n",
-                     args[i].c_str());
-        return 2;
-      }
-      if (args[i] == "--trace") {
-        trace_path = args[i + 1];
-      } else if (args[i] == "--trace-stream") {
-        trace_stream_path = args[i + 1];
-      } else if (args[i] == "--metrics-out") {
-        metrics_path = args[i + 1];
-      } else if (args[i] == "--expect") {
-        expect_paths.push_back(args[i + 1]);
-      } else {
-        const auto parsed = text::parse_uint<std::uint64_t>(args[i + 1]);
-        if (!parsed || *parsed == 0) {
-          std::fprintf(stderr, "esm_run: --reps: must be %s, got '%s'\n",
-                       text::integer_range<std::uint64_t>(1).c_str(),
-                       args[i + 1].c_str());
-          return 2;
-        }
-        reps = *parsed;
-      }
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else {
-      ++i;
-    }
-  }
   std::string error;
-  const unsigned jobs = harness::extract_jobs_flag(args, error);
-  if (jobs == 0) {
-    std::fprintf(stderr, "esm_run: %s\n", error.c_str());
-    return 2;
-  }
-  auto options = harness::parse_cli(args, error);
-  if (options && !trace_path.empty()) {
-    options->config.collect_trace = true;
-  }
-  if (options && !metrics_path.empty()) {
-    options->config.collect_metrics = true;
-  }
+  auto options =
+      harness::parse_cli(std::vector<std::string>(argv + 1, argv + argc),
+                         error);
   if (!options) {
     std::fprintf(stderr, "esm_run: %s (see esm_run --help)\n", error.c_str());
     return 2;
@@ -92,64 +35,21 @@ int main(int argc, char** argv) {
     std::fputs(harness::cli_help_text().c_str(), stdout);
     return 0;
   }
-  if (!options->scenario_path.empty()) {
-    try {
-      options->config.scenario =
-          harness::load_scenario_file(options->scenario_path);
-      options->config.scenario.validate(options->config.num_nodes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_run: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!options->workload_path.empty()) {
-    try {
-      options->config.workload =
-          load::load_workload_file(options->workload_path);
-      options->config.workload.validate(options->config.num_nodes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_run: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (reps > 1 && (!trace_path.empty() || !trace_stream_path.empty())) {
-    std::fprintf(stderr,
-                 "esm_run: --trace/--trace-stream are single-run; drop "
-                 "--reps\n");
+  if (!harness::load_input_files(*options, error)) {
+    std::fprintf(stderr, "esm_run: %s\n", error.c_str());
     return 2;
   }
-  if (reps > 1 && !expect_paths.empty()) {
-    std::fprintf(stderr,
-                 "esm_run: --expect evaluates a single run; drop --reps\n");
-    return 2;
-  }
-  if (!trace_path.empty() && !trace_stream_path.empty()) {
-    std::fprintf(stderr,
-                 "esm_run: pick one of --trace (buffered) or --trace-stream "
-                 "(streaming)\n");
-    return 2;
-  }
-  if (!trace_stream_path.empty() && options->config.collect_tree_stats) {
-    std::fprintf(stderr,
-                 "esm_run: --tree-stats needs the buffered trace; use "
-                 "--trace instead of --trace-stream\n");
-    return 2;
-  }
-  if (metrics_path == "-" && trace_stream_path == "-") {
-    std::fprintf(stderr,
-                 "esm_run: --metrics-out - and --trace-stream - both write "
-                 "to stdout; pick one\n");
-    return 2;
-  }
-  if (!expect_paths.empty() && trace_stream_path == "-") {
-    std::fprintf(stderr,
-                 "esm_run: the --expect report and --trace-stream - share "
-                 "stdout; stream the trace to a file instead\n");
-    return 2;
-  }
+  // --trace buffers the run's events and writes them at the end;
+  // --trace-stream writes rows while the run executes, so memory stays
+  // bounded at large N. `-` means stdout for --metrics-out and
+  // --trace-stream.
+  const std::string& trace_path = options->trace_path;
+  const std::string& trace_stream_path = options->trace_stream_path;
+  const std::string& metrics_path = options->metrics_path;
+  const std::uint64_t reps = options->reps;
 
   expect::ExpectationSet expectations;
-  for (const std::string& path : expect_paths) {
+  for (const std::string& path : options->expect_paths) {
     try {
       expectations.merge(expect::load_expectation_file(path));
     } catch (const std::exception& e) {
@@ -182,7 +82,7 @@ int main(int argc, char** argv) {
   }
   // collect_trace and trace_sink are final here, so every --shards gate
   // is decided before the file opens or any run starts.
-  if (const std::string gate = harness::shard_gate_error(options->config);
+  if (const std::string gate = harness::config_error(options->config);
       !gate.empty()) {
     std::fprintf(stderr, "esm_run: %s\n", gate.c_str());
     return 2;
@@ -265,7 +165,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t r = 0; r < reps; ++r) configs[r].seed += r;
     std::vector<harness::ExperimentResult> results;
     try {
-      results = harness::run_experiments(configs, jobs);
+      results = harness::run_experiments(configs, options->jobs);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "esm_run: %s\n", e.what());
       return 1;

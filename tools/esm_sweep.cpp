@@ -6,19 +6,22 @@
 //   esm_sweep --param noise --values 0,0.25,0.5,1 --strategy ranked
 //   esm_sweep --param kill --values 0,0.2,0.4 --strategy ttl --u 3 --csv
 //
-// Any esm_run flag is accepted as the base configuration. --csv emits
-// machine-readable rows instead of the table. Points run concurrently on
-// --jobs worker threads (default: hardware concurrency); each point owns
-// its Simulator and RNG streams, so output is byte-identical to --jobs 1.
+// Any esm_run flag is accepted as the base configuration, and point V is
+// exactly what esm_run builds from the base flags followed by --NAME V:
+// sweep names are flag names, and values use the flag's grammar. esm_run's
+// single-run flags (--reps, --trace, --trace-stream, --metrics-out,
+// --expect) are rejected. --csv emits machine-readable rows instead of the
+// table. Points run concurrently on --jobs worker threads (default:
+// hardware concurrency); each point owns its Simulator and RNG streams, so
+// output is byte-identical to --jobs 1.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
-#include "harness/scenario_text.hpp"
 #include "harness/table.hpp"
-#include "load/workload_text.hpp"
 
 int main(int argc, char** argv) {
   using namespace esm;
@@ -43,69 +46,28 @@ int main(int argc, char** argv) {
       ++i;
     }
   }
-  std::string error;
-  const unsigned jobs = harness::extract_jobs_flag(args, error);
-  if (jobs == 0) {
-    std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
-    return 2;
-  }
   if (param.empty() || values_text.empty()) {
-    std::string names;
-    for (const char* name : harness::kSweepParams) {
-      names += ' ' + std::string(name);
-    }
     std::fprintf(stderr,
                  "esm_sweep: --param NAME and --values V1,V2,... are "
-                 "required.\nSweepable:%s.\nAll esm_run flags form the base "
+                 "required.\nNAME is any esm_run flag that takes a value, "
+                 "without its dashes; each value uses that flag's "
+                 "grammar.\nAll esm_run flags form the base "
                  "configuration;\n"
-                 "--jobs N runs points concurrently (default: all cores).\n",
-                 names.c_str());
+                 "--jobs N runs points concurrently (default: all cores).\n");
     return 2;
   }
-
-  auto base = harness::parse_cli(args, error);
-  if (!base) {
+  std::string error;
+  const auto sweep = harness::parse_sweep(args, param, values_text, error);
+  if (!sweep) {
     std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
     return 2;
   }
-  if (!base->scenario_path.empty()) {
-    try {
-      base->config.scenario =
-          harness::load_scenario_file(base->scenario_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_sweep: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!base->workload_path.empty()) {
-    try {
-      base->config.workload = load::load_workload_file(base->workload_path);
-      base->config.workload.validate(base->config.num_nodes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_sweep: %s\n", e.what());
-      return 2;
-    }
-  }
-  const auto values = harness::parse_value_list(values_text, error);
-  if (!values) {
-    std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
-    return 2;
-  }
-
-  std::vector<harness::ExperimentConfig> configs;
-  configs.reserve(values->size());
-  for (const double v : *values) {
-    harness::ExperimentConfig config = base->config;
-    if (!harness::apply_sweep_param(config, param, v, error)) {
-      std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
-      return 2;
-    }
-    configs.push_back(config);
-  }
+  const std::vector<harness::ExperimentConfig>& configs = sweep->points;
+  const harness::ExperimentConfig& base = sweep->base.config;
 
   std::vector<harness::ExperimentResult> results;
   try {
-    results = harness::run_experiments(configs, jobs);
+    results = harness::run_experiments(configs, sweep->base.jobs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "esm_sweep: %s\n", e.what());
     return 1;
@@ -114,16 +76,15 @@ int main(int argc, char** argv) {
   // With --tree-stats each point also reports the emergent-structure
   // series: eager-hop share, tree-edge latency vs the all-pairs overlay
   // baseline, and consecutive-tree Jaccard overlap.
-  const bool tree = base->config.collect_tree_stats;
-  // Workload sweeps (and sweeps over senders/rate starting from one) also
-  // report the offered-load/goodput series — the saturation-knee axes.
-  bool load_cols = !base->config.workload.empty();
-  for (const auto& config : configs) {
-    load_cols = load_cols || !config.workload.empty();
-  }
+  const bool tree = base.collect_tree_stats;
+  // Workload sweeps also report the offered-load/goodput series — the
+  // saturation-knee axes.
+  const bool load_cols =
+      std::any_of(configs.begin(), configs.end(),
+                  [](const auto& c) { return !c.workload.empty(); });
 
   harness::Table table("sweep of " + param + " (" +
-                       base->config.strategy.describe() + ")");
+                       base.strategy.describe() + ")");
   std::vector<std::string> header = {param, "latency ms", "p95 ms",
                                      "payload/msg", "deliveries %", "top5 %",
                                      "retries", "stalled"};
@@ -149,10 +110,10 @@ int main(int argc, char** argv) {
              : "");
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const double v = (*values)[i];
+    const std::string& label = sweep->values[i];
     const harness::ExperimentResult& r = results[i];
     if (csv) {
-      std::printf("%g,%.3f,%.3f,%.3f,%.5f,%.5f,%llu,%llu", v,
+      std::printf("%s,%.3f,%.3f,%.3f,%.5f,%.5f,%llu,%llu", label.c_str(),
                   r.mean_latency_ms, r.p95_latency_ms,
                   r.load_all.payload_per_msg, r.mean_delivery_fraction,
                   r.top5_connection_share,
@@ -173,7 +134,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     } else {
       std::vector<std::string> row = {
-          harness::Table::num(v, 3),
+          label,
           harness::Table::num(r.mean_latency_ms, 0),
           harness::Table::num(r.p95_latency_ms, 0),
           harness::Table::num(r.load_all.payload_per_msg, 2),
