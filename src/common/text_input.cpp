@@ -130,8 +130,9 @@ bool KvArgs::has_flag(std::string_view flag) const {
 }
 
 void for_each_line(std::istream& is, const char* grammar,
-                   const std::function<void(const Line&)>& handle) {
-  Line line{grammar, 0, {}};
+                   const std::function<void(const Line&)>& handle,
+                   NodeId num_nodes) {
+  Line line{grammar, 0, {}, num_nodes};
   std::string text;
   while (std::getline(is, text)) {
     ++line.number;

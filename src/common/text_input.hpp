@@ -67,6 +67,8 @@ struct Line {
   const char* grammar = "";
   std::size_t number = 0;
   std::vector<std::string> tokens;
+  /// Every node id must be below this (the run's node count, when known).
+  NodeId num_nodes = kInvalidNode;
 
   [[noreturn]] void fail(const std::string& what) const;
 
@@ -89,12 +91,14 @@ struct Line {
          ", got '" + std::string(token) + "'");
   }
 
-  /// A node id. kInvalidNode (4294967295) is reserved for "no node".
+  /// A node id below num_nodes. kInvalidNode (4294967295) is reserved for
+  /// "no node".
   NodeId node_id(std::string_view token) const {
-    return uint<NodeId>(token, "node id", kInvalidNode - 1);
+    return uint<NodeId>(token, "node id", num_nodes - 1);
   }
 
-  /// "0..4,9,12..13" -> {0,1,2,3,4,9,12,13}.
+  /// "0..4,9,12..13" -> {0,1,2,3,4,9,12,13}. A range is bounded by
+  /// num_nodes before it expands.
   std::vector<NodeId> node_list(std::string_view text) const;
 
   /// The `key=value` arguments in tokens[first..]. Each key may appear
@@ -106,9 +110,11 @@ struct Line {
             std::initializer_list<const char*> flags = {}) const;
 };
 
-/// Calls `handle` for every non-blank line of `is`, numbered from 1.
+/// Calls `handle` for every non-blank line of `is`, numbered from 1; its
+/// node ids must be below `num_nodes`.
 void for_each_line(std::istream& is, const char* grammar,
-                   const std::function<void(const Line&)>& handle);
+                   const std::function<void(const Line&)>& handle,
+                   NodeId num_nodes = kInvalidNode);
 
 /// Opens `path` and returns parse(stream). Throws "cannot open <grammar>
 /// file: PATH", and prefixes parse errors with "PATH: ".

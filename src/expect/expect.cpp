@@ -225,6 +225,11 @@ const char* recovery_counter_name(RecoveryStat stat) {
   }
 }
 
+/// Counters read the lifecycle registry when metrics were collected, and
+/// the kv scalar of the same name otherwise. The two `recovery_stalled`
+/// differ: the registry counts episodes never closed by a delivery, the
+/// kv figure counts scheduler give-ups plus requests still pending at the
+/// end, which includes abandoned recoveries a later delivery completed.
 Outcome eval_recovery(const Expectation& e, const EvalInput& in) {
   Outcome out = make_outcome(e);
   out.bound = e.recovery_bound;

@@ -115,7 +115,7 @@ struct ExpectationSet {
 };
 
 /// Everything evaluation can draw on. Online runs fill all of it from an
-/// ExperimentResult; the offline esm_expect tool has only the trace (the
+/// ExperimentResult; offline `esm_trace expect` has only the trace (the
 /// rest stays empty and the expectations that need it report `skip`).
 struct EvalInput {
   /// Buffered event trace (nullptr = no trace data).

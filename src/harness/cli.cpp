@@ -384,8 +384,8 @@ std::vector<Row> flag_table(State& s) {
          "engine). Results are bit-for-bit identical at every shard count "
          ">= 2; composes with --jobs. Incompatible with --scenario, "
          "--churn, --noise, --trace* and --tree-stats (also as sweep "
-         "points). Adds sim_shard_* output lines; --metrics-out emits the "
-         "sim.shard.* execution block (no per-node lifecycle metrics).",
+         "points). Adds sim_shard_* output lines; --metrics-out adds the "
+         "sim.shard.* execution block to the full document.",
          c.shards, 1u);
 
   t.section("Output");
@@ -407,7 +407,7 @@ std::vector<Row> flag_table(State& s) {
       .role = kRunOnly;
   t.path("--trace",
          "buffer the run's event trace and write it as CSV at the end "
-         "(single run only); feed it to esm_trees for offline tree analysis",
+         "(single run only); feed it to esm_trace for offline analysis",
          o.trace_path)
       .role = kRunOnly;
   t.path("--trace-stream",
@@ -600,11 +600,12 @@ bool load_input_files(CliOptions& options, std::string& error) {
   ExperimentConfig& c = options.config;
   try {
     if (!options.scenario_path.empty()) {
-      c.scenario = load_scenario_file(options.scenario_path);
+      c.scenario = load_scenario_file(options.scenario_path, c.num_nodes);
       c.scenario.validate(c.num_nodes);
     }
     if (!options.workload_path.empty()) {
-      c.workload = load::load_workload_file(options.workload_path);
+      c.workload =
+          load::load_workload_file(options.workload_path, c.num_nodes);
       c.workload.validate(c.num_nodes);
     }
   } catch (const std::exception& e) {

@@ -187,7 +187,7 @@ struct ExperimentConfig {
   /// parallelize one run, jobs parallelize across runs). Gates (see
   /// shard_gate_error): scenario scripts, churn, strategy noise (the
   /// shared calibration is order-dependent), traces and tree stats need
-  /// shards == 1. Metrics collection works, exporting only the
+  /// shards == 1. Metrics collection exports the full document plus the
   /// sim.shard.* block; warm-up kills are fine — they happen between
   /// windows.
   std::uint32_t shards = 1;

@@ -481,6 +481,11 @@ struct Shard {
   /// (time, node) order; shards == 1 accumulates them as they happen.
   std::vector<Delivery> deliveries;
   std::deque<ActiveMsg> active;
+  /// Metrics runs only: the lifecycle tracker of this shard's nodes and the
+  /// document it and the egress listener write. Finalize merges the
+  /// documents in shard order.
+  std::shared_ptr<obs::RunMetrics> metrics;
+  std::optional<obs::LifecycleTracker> tracker;
 };
 
 /// One experiment: the stages every shard count runs, in order. The
@@ -572,8 +577,8 @@ class Assembly {
   std::shared_ptr<core::NoiseCalibration> noise_calibration_;
   bool wrap_noise_ = false;
 
-  // Run-wide accounting and observation (trace, phase windows and the
-  // lifecycle tracker exist only at shards == 1; the gates see to that).
+  // Run-wide accounting and observation (trace and phase windows exist
+  // only at shards == 1; the gates see to that).
   std::vector<MsgRecord> messages_;
   stats::Samples all_latency_ms_;
   std::uint64_t offtopic_deliveries_ = 0;
@@ -584,9 +589,6 @@ class Assembly {
   std::vector<LastAccept> last_accept_;
   std::optional<stats::PhaseWindows> phase_windows_;
   stats::PhaseWindows* pw_ = nullptr;
-  std::shared_ptr<obs::RunMetrics> run_metrics_;
-  std::optional<obs::LifecycleTracker> tracker_;
-  obs::LifecycleTracker* trk_ = nullptr;
   std::vector<std::unique_ptr<NodeStack>> nodes_;
 
   // Failures and traffic.
@@ -764,14 +766,13 @@ void Assembly::build_nodes() {
   if (!config_.scenario.empty()) {
     pw_ = &phase_windows_.emplace(config_.warmup);
   }
-  // Observability: metrics registries + message-lifecycle tracker, wired
-  // into the protocol layers' observation hooks. Only metrics runs pay;
-  // sharded runs export just the sim.shard.* execution block.
+  // Observability: one metrics document and lifecycle tracker per shard,
+  // wired into the protocol layers' observation hooks. Only metrics runs
+  // pay.
   if (config_.collect_metrics) {
-    run_metrics_ = std::make_shared<obs::RunMetrics>();
-    if (!engine_.sharded()) {
-      trk_ = &tracker_.emplace(engine_.shard(0), n, *run_metrics_,
-                               &shards_.front().arena);
+    for (Shard& shard : shards_) {
+      shard.metrics = std::make_shared<obs::RunMetrics>();
+      shard.tracker.emplace(*shard.sim, n, *shard.metrics, &shard.arena);
     }
   }
 
@@ -942,8 +943,8 @@ void Assembly::build_nodes() {
             piggyback->observe(peer, rtt);
           });
     }
-    if (trk_) {
-      obs::LifecycleTracker* const trk = trk_;
+    if (shard.tracker) {
+      obs::LifecycleTracker* const trk = &*shard.tracker;
       stack->scheduler->set_lazy_listener(
           [trk, id](const MsgId& mid, core::PayloadScheduler::LazyEvent event,
                     NodeId peer) { trk->on_lazy_event(id, mid, event, peer); });
@@ -972,8 +973,8 @@ void Assembly::build_nodes() {
         id, gossip_params, *stack->sampler, *stack->scheduler,
         [this, id](const core::AppMessage& msg) { on_deliver(id, msg); },
         node_rng.split(6));
-    if (trk_) {
-      obs::LifecycleTracker* const trk = trk_;
+    if (shard.tracker) {
+      obs::LifecycleTracker* const trk = &*shard.tracker;
       stack->gossip->set_relay_listener(
           [trk, id](const MsgId&, Round, std::size_t relayed_to) {
             trk->on_relay(id, relayed_to);
@@ -1027,13 +1028,16 @@ void Assembly::wire_listeners() {
           nodes_[src]->scheduler->on_egress_purge(dst, *packet);
         });
   }
-  if (trk_) {
-    obs::LifecycleTracker* const trk = trk_;
-    transport.set_drop_listener(
-        [trk](NodeId src, NodeId dst, bool is_payload,
-              net::Transport::DropReason reason) {
-          trk->on_drop(src, dst, is_payload, reason);
-        });
+  if (config_.collect_metrics) {
+    // A drop goes to the tracker of the shard that executes it: the
+    // receiver's for a silenced receiver, the sender's otherwise.
+    transport.set_drop_listener([this](NodeId src, NodeId dst,
+                                       bool is_payload,
+                                       net::Transport::DropReason reason) {
+      const bool at_dst = reason == net::Transport::DropReason::kSilencedDst;
+      shard_of(at_dst ? dst : src).tracker->on_drop(src, dst, is_payload,
+                                                    reason);
+    });
   }
 }
 
@@ -1114,16 +1118,16 @@ void Assembly::bootstrap_and_warm_up() {
 void Assembly::schedule_traffic() {
   transport_->reset_stats();  // measure only the logged phase
   transport_->reset_egress_stats();
-  if (trk_) {
+  if (config_.collect_metrics) {
     // Per-node queue-delay/depth histograms over the measurement phase.
     // Observation only: the listener fires on drain pops that happen
-    // anyway, no RNG draws, no extra events.
-    obs::RunMetrics* rm = run_metrics_.get();
+    // anyway (on the sender's shard), no RNG draws, no extra events.
     transport_->set_egress_listener(
-        [rm](NodeId src, std::uint64_t sojourn_us, std::size_t depth) {
-          rm->per_node[src].histogram("egress_sojourn_us").add(sojourn_us);
-          rm->aggregate.histogram("transport.queue_delay_us").add(sojourn_us);
-          rm->aggregate.histogram("transport.queue_depth").add(depth);
+        [this](NodeId src, std::uint64_t sojourn_us, std::size_t depth) {
+          obs::RunMetrics& rm = *shard_of(src).metrics;
+          rm.per_node[src].histogram("egress_sojourn_us").add(sojourn_us);
+          rm.aggregate.histogram("transport.queue_delay_us").add(sojourn_us);
+          rm.aggregate.histogram("transport.queue_depth").add(depth);
         });
   }
 
@@ -1265,7 +1269,7 @@ void Assembly::on_deliver(NodeId id, const core::AppMessage& msg) {
   } else {
     count_delivery(d);
   }
-  if (trk_) trk_->on_delivery(id, msg.id, d.latency);
+  if (shard.tracker) shard.tracker->on_delivery(id, msg.id, d.latency);
   if (trace_log_) {
     // The payload that delivered here was matched by the accept listener
     // synchronously upstream of this callback; the origin delivers its
@@ -1720,10 +1724,23 @@ ExperimentResult Assembly::finalize() {
     result.path_rows_computed += shard.paths->rows_computed();
     result.path_row_evictions += shard.paths->row_evictions();
   }
-  if (trk_) {
+  std::shared_ptr<obs::RunMetrics> metrics;
+  if (config_.collect_metrics) {
+    // The shard documents merge in shard order into the first one;
+    // shards == 1 is the one-document case.
+    metrics = shards_.front().metrics;
+    for (Shard& shard : shards_) {
+      shard.tracker->finalize();
+      if (shard.metrics == metrics) continue;
+      metrics->aggregate.merge(shard.metrics->aggregate);
+      for (NodeId id = 0; id < n; ++id) {
+        metrics->per_node[id].merge(shard.metrics->per_node[id]);
+      }
+    }
     // Deterministic memory gauges (peak RSS is process-wide and
     // scheduling-dependent, so it stays out of the metrics document).
-    obs::MetricsRegistry& agg = run_metrics_->aggregate;
+    // Both footprints sum the shards' copies: path replicas and arenas.
+    obs::MetricsRegistry& agg = metrics->aggregate;
     agg.gauge_max("path_model.bytes",
                   static_cast<double>(result.path_model_bytes));
     agg.gauge_max("path_model.rows_computed",
@@ -1733,9 +1750,14 @@ ExperimentResult Assembly::finalize() {
     // Arena high-water marks: the intern table never shrinks, so the
     // final size IS the run's peak — exactly what matters under many
     // concurrent messages.
-    const core::MessageArena& arena = shards_.front().arena;
-    agg.gauge_max("arena.messages", static_cast<double>(arena.size()));
-    agg.gauge_max("arena.bytes", static_cast<double>(arena.bytes()));
+    std::size_t arena_messages = 0;
+    std::size_t arena_bytes = 0;
+    for (const Shard& shard : shards_) {
+      arena_messages += shard.arena.size();
+      arena_bytes += shard.arena.bytes();
+    }
+    agg.gauge_max("arena.messages", static_cast<double>(arena_messages));
+    agg.gauge_max("arena.bytes", static_cast<double>(arena_bytes));
     // Goodput/saturation and egress serialization, for --metrics-out
     // consumers (counters sum, gauges max across --reps merges).
     agg.add_counter("goodput.offered_msgs", gp.offered_msgs);
@@ -1791,10 +1813,9 @@ ExperimentResult Assembly::finalize() {
       agg.histogram("tree.stretch_pct").merge(t.stretch_pct);
       agg.histogram("tree.jaccard_permille").merge(t.jaccard_permille);
     }
-    trk_->finalize();
   }
-  engine_.report(result, run_metrics_.get());
-  result.metrics = run_metrics_;
+  engine_.report(result, metrics.get());
+  result.metrics = std::move(metrics);
   return result;
 }
 

@@ -118,11 +118,11 @@ void parse_event(const text::Line& line, ScenarioScript& script) {
 
 }  // namespace
 
-fault::ScenarioScript parse_scenario(std::istream& is) {
+fault::ScenarioScript parse_scenario(std::istream& is, NodeId num_nodes) {
   ScenarioScript script;
-  text::for_each_line(is, "scenario", [&](const text::Line& line) {
-    parse_event(line, script);
-  });
+  text::for_each_line(
+      is, "scenario",
+      [&](const text::Line& line) { parse_event(line, script); }, num_nodes);
   script.sort();
   return script;
 }
@@ -132,9 +132,11 @@ fault::ScenarioScript parse_scenario(const std::string& text) {
   return parse_scenario(stream);
 }
 
-fault::ScenarioScript load_scenario_file(const std::string& path) {
-  return text::load_file(path, "scenario",
-                         [](std::istream& is) { return parse_scenario(is); });
+fault::ScenarioScript load_scenario_file(const std::string& path,
+                                         NodeId num_nodes) {
+  return text::load_file(path, "scenario", [num_nodes](std::istream& is) {
+    return parse_scenario(is, num_nodes);
+  });
 }
 
 }  // namespace esm::harness

@@ -35,15 +35,18 @@
 namespace esm::harness {
 
 /// Parses scenario text. Throws std::runtime_error with a line number on
-/// malformed input. The returned script is sorted but not yet validated
-/// against a node count (the experiment does that).
-fault::ScenarioScript parse_scenario(std::istream& is);
+/// malformed input, including a node id not below `num_nodes`. The
+/// returned script is sorted but not yet validated against a node count
+/// (the experiment does that).
+fault::ScenarioScript parse_scenario(std::istream& is,
+                                     NodeId num_nodes = kInvalidNode);
 
 /// Convenience overload for string literals (tests, canned workloads).
 fault::ScenarioScript parse_scenario(const std::string& text);
 
 /// Reads and parses a scenario file; throws std::runtime_error when the
 /// file cannot be opened or parsed.
-fault::ScenarioScript load_scenario_file(const std::string& path);
+fault::ScenarioScript load_scenario_file(const std::string& path,
+                                         NodeId num_nodes = kInvalidNode);
 
 }  // namespace esm::harness

@@ -91,7 +91,7 @@ void parse_publisher(const text::Line& line, WorkloadSpec& spec) {
 
 }  // namespace
 
-WorkloadSpec parse_workload(std::istream& is) {
+WorkloadSpec parse_workload(std::istream& is, NodeId num_nodes) {
   WorkloadSpec spec;
   text::for_each_line(is, "workload", [&](const text::Line& line) {
     const std::string& command = line.tokens[0];
@@ -110,7 +110,7 @@ WorkloadSpec parse_workload(std::istream& is) {
     } else {
       line.fail("unknown directive '" + command + "'");
     }
-  });
+  }, num_nodes);
   if (spec.publishers.empty()) {
     throw std::runtime_error("workload: no publishers declared");
   }
@@ -122,9 +122,10 @@ WorkloadSpec parse_workload(const std::string& text) {
   return parse_workload(stream);
 }
 
-WorkloadSpec load_workload_file(const std::string& path) {
-  return text::load_file(path, "workload",
-                         [](std::istream& is) { return parse_workload(is); });
+WorkloadSpec load_workload_file(const std::string& path, NodeId num_nodes) {
+  return text::load_file(path, "workload", [num_nodes](std::istream& is) {
+    return parse_workload(is, num_nodes);
+  });
 }
 
 }  // namespace esm::load

@@ -24,13 +24,14 @@
 namespace esm::load {
 
 /// Parses a workload script. Throws std::runtime_error with a
-/// "workload line N: ..." diagnostic on the first syntax error.
-/// Semantic checks against the node count happen later in
-/// WorkloadSpec::validate.
-WorkloadSpec parse_workload(std::istream& is);
+/// "workload line N: ..." diagnostic on the first syntax error or node id
+/// not below `num_nodes`. The other checks against the node count happen
+/// later in WorkloadSpec::validate.
+WorkloadSpec parse_workload(std::istream& is, NodeId num_nodes = kInvalidNode);
 WorkloadSpec parse_workload(const std::string& text);
 
 /// Reads and parses `path`; errors are prefixed with the path.
-WorkloadSpec load_workload_file(const std::string& path);
+WorkloadSpec load_workload_file(const std::string& path,
+                                NodeId num_nodes = kInvalidNode);
 
 }  // namespace esm::load

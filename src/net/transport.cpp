@@ -428,7 +428,7 @@ void Transport::deliver(NodeId src, NodeId dst, bool is_payload,
                         const PacketPtr& packet) {
   if (silenced_[dst]) {  // firewalled: nothing gets in
     if (drop_listener_) {
-      drop_listener_(src, dst, is_payload, DropReason::kSilenced);
+      drop_listener_(src, dst, is_payload, DropReason::kSilencedDst);
     }
     return;
   }

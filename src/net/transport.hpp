@@ -290,16 +290,19 @@ class Transport {
 
   /// Why a packet never reached its destination handler.
   enum class DropReason {
-    kLoss,       // base loss process
-    kFault,      // fault-injected extra loss
-    kBuffer,     // egress buffer overflow purge
-    kPartition,  // endpoints in different partition groups
-    kSilenced,   // src silenced at send / dst silenced at arrival
+    kLoss,         // base loss process
+    kFault,        // fault-injected extra loss
+    kBuffer,       // egress buffer overflow purge
+    kPartition,    // endpoints in different partition groups
+    kSilenced,     // src silenced at send
+    kSilencedDst,  // dst silenced at arrival
   };
 
   /// Observation hook: invoked for every dropped packet with the directed
   /// link, payload flag, and reason. Feeds the obs lifecycle tracker; not
-  /// part of the network model (one branch per drop when unset).
+  /// part of the network model (one branch per drop when unset). Bound to
+  /// shards, it runs on the receiver's shard for kSilencedDst and on the
+  /// sender's for every other reason.
   using DropListener =
       std::function<void(NodeId src, NodeId dst, bool is_payload, DropReason)>;
   void set_drop_listener(DropListener listener) {

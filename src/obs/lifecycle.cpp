@@ -12,7 +12,8 @@ const char* drop_counter_name(net::Transport::DropReason reason) {
     case net::Transport::DropReason::kFault: return "drops_fault";
     case net::Transport::DropReason::kBuffer: return "drops_buffer";
     case net::Transport::DropReason::kPartition: return "drops_partition";
-    case net::Transport::DropReason::kSilenced: return "drops_silenced";
+    case net::Transport::DropReason::kSilenced:
+    case net::Transport::DropReason::kSilencedDst: return "drops_silenced";
   }
   return "drops_unknown";
 }

@@ -1,10 +1,12 @@
 // Message-lifecycle tracker — the event layer of the observability
 // subsystem.
 //
-// One tracker observes a whole experiment. The protocol layers expose
-// cheap observation hooks (PayloadScheduler lazy-lifecycle events,
-// Transport drops, GossipNode relays, PullNode fetches); the harness
-// forwards them here when metrics collection is on. The tracker follows
+// One tracker observes the nodes of one shard (the whole experiment at
+// shards == 1); the harness merges the shards' documents after the run.
+// The protocol layers expose cheap observation hooks (PayloadScheduler
+// lazy-lifecycle events, Transport drops, GossipNode relays, PullNode
+// fetches); the harness forwards each to the tracker of the shard that
+// executes it when metrics collection is on. The tracker follows
 // each (node, message) lazy *recovery episode* — opened by the first
 // IHAVE for a payload the node is missing, advanced by IWANTs and retry
 // passes, closed by the payload's arrival or by giving up — and
@@ -40,7 +42,7 @@ class LifecycleTracker {
   /// `metrics.per_node` is sized to `num_nodes`; the tracker writes into
   /// both the per-node registries and the aggregate. `metrics` must
   /// outlive the tracker. When `arena` is given, episode keys reuse its
-  /// interned message keys (the harness passes the run-shared arena, so
+  /// interned message keys (the harness passes its shard's arena, so
   /// tracking adds no id storage); otherwise the tracker interns into a
   /// private arena.
   LifecycleTracker(sim::Simulator& sim, std::uint32_t num_nodes,

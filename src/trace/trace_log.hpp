@@ -4,7 +4,7 @@
 // processing (§5.3: ~1 GB of logs per campaign, later "processed and
 // rendered in plots"). This module is that log: delivery and payload-
 // transmission events collected during a run, writable as CSV for external
-// tooling (gnuplot, pandas, tools/esm_trees) and queryable in-process for
+// tooling (gnuplot, pandas, tools/esm_trace) and queryable in-process for
 // tests.
 //
 // Two sink modes:

@@ -4,11 +4,16 @@
 // egress), an eager PayloadScheduler message, a lazy IHAVE -> IWANT -> MSG
 // exchange, and a GossipNode forward over a StaticNeighborSampler.
 //
+// A last check bounds what loading an input file costs: a node range is
+// checked against the node count before it expands.
+//
 // The counts come from the counting allocator (common/alloc_counter),
 // which this binary links by calling it. They are exact for a given build:
 // the tests are single-threaded.
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +23,7 @@
 #include "core/msg_arena.hpp"
 #include "core/scheduler.hpp"
 #include "core/strategies.hpp"
+#include "harness/cli.hpp"
 #include "net/transport.hpp"
 #include "overlay/static_overlay.hpp"
 #include "sim/simulator.hpp"
@@ -189,6 +195,32 @@ TEST(AllocSteady, GossipForwardOverStaticNeighbors) {
   EXPECT_EQ(allocations_during(forward_all), 0u);
   EXPECT_EQ(delivered, 2 * kIds);
   EXPECT_EQ(arrivals, 2 * kIds * 4);
+}
+
+TEST(AllocSteady, OutOfRangeNodeRangeRejectedBeforeExpanding) {
+  // Expanded before the node-count check, 0..50000000 allocates over
+  // 500 MB; the loaders bound each id by --nodes at its line instead.
+  const std::string dir = testing::TempDir();
+  std::ofstream(dir + "wide_range.scn")
+      << "# wide\n10s crash nodes 0..50000000\n";
+  std::ofstream(dir + "wide_range.wl")
+      << "# wide\ntopic t nodes=0..50000000\npublisher poisson rate=5 "
+         "topic=t\n";
+  for (const auto& [flag, file] :
+       {std::pair{"--scenario", "wide_range.scn"},
+        std::pair{"--workload", "wide_range.wl"}}) {
+    std::string error;
+    auto options = harness::parse_cli({"--nodes", "100", flag, dir + file},
+                                      error);
+    ASSERT_TRUE(options) << error;
+    const std::uint64_t before = alloc::allocated_bytes();
+    EXPECT_FALSE(harness::load_input_files(*options, error));
+    EXPECT_LT(alloc::allocated_bytes() - before, 1u << 20) << flag;
+    EXPECT_NE(error.find(" line 2: node id must be an integer in [0, 99], "
+                         "got '50000000'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

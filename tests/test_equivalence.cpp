@@ -19,6 +19,7 @@
 // tests instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -421,10 +422,10 @@ TEST(Equivalence, JobsInvarianceBackpressureModes) {
 
 // --- sharded engine: shard-count × jobs invariance matrix -----------------
 
-/// The deterministic part of a sharded run's metrics document: every key
-/// except the two wall-clock gauges (busy/barrier-wait time vary run to
-/// run). A sharded run exports only the sim.shard.* block, so any other
-/// key showing up here changes the pinned value.
+/// The deterministic part of a sharded run's aggregate metrics: every
+/// counter and gauge except the two wall-clock gauges (busy/barrier-wait
+/// time vary run to run), plus the per-node registry count. A key that
+/// appears, disappears or changes value changes the pinned value.
 std::string render_shard_metrics(const ExperimentResult& r) {
   std::string out;
   if (!r.metrics) return out;
@@ -442,6 +443,46 @@ std::string render_shard_metrics(const ExperimentResult& r) {
   return out;
 }
 
+/// Aggregate keys whose values depend on where the shard boundaries fall:
+/// the sim.shard.* execution block, and the footprint of per-shard copies
+/// (each shard interns the messages its nodes see into its own arena, and
+/// on-demand path models are replicated per shard).
+bool depends_on_partition(const std::string& name) {
+  return name.rfind("sim.shard.", 0) == 0 || name.rfind("arena.", 0) == 0 ||
+         name.rfind("path_model.", 0) == 0;
+}
+
+/// The whole metrics document — every aggregate counter, gauge and
+/// histogram and every per-node registry — minus the partition-dependent
+/// keys.
+std::string render_document(const obs::RunMetrics& m) {
+  obs::MetricsRegistry agg;
+  for (const auto& [name, value] : m.aggregate.counters()) {
+    if (!depends_on_partition(name)) agg.add_counter(name, value);
+  }
+  for (const auto& [name, value] : m.aggregate.gauges()) {
+    if (!depends_on_partition(name)) agg.gauge_max(name, value);
+  }
+  for (const auto& [name, hist] : m.aggregate.histograms()) {
+    if (!depends_on_partition(name)) agg.histogram(name).merge(hist);
+  }
+  std::string out = agg.to_json();
+  for (const obs::MetricsRegistry& node : m.per_node) {
+    out += '\n' + node.to_json();
+  }
+  return out;
+}
+
+/// Every aggregate key of a metrics document.
+std::vector<std::string> key_set(const obs::MetricsRegistry& agg) {
+  std::vector<std::string> keys;
+  for (const auto& entry : agg.counters()) keys.push_back(entry.first);
+  for (const auto& entry : agg.gauges()) keys.push_back(entry.first);
+  for (const auto& entry : agg.histograms()) keys.push_back(entry.first);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 TEST(Equivalence, ShardCountInvarianceMatrix) {
   // Canned scenarios × --shards {1, 2, 4, 8} × --jobs {1, 4}. The pinned
   // contract:
@@ -452,9 +493,12 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
   //     fingerprint; it may differ from the sharded engine only in
   //     same-microsecond arrival tie ordering, so no cross-engine
   //     equality is asserted here;
-  //   * the shards == 2 metrics document carries exactly the pinned
-  //     deterministic sim.shard.* keys (windows, mailbox traffic,
-  //     lookahead).
+  //   * every shard count exports the whole metrics document: the
+  //     shards == 2 key set is the shards == 1 key set plus sim.shard.*,
+  //     with one per-node registry per node; the document is identical at
+  //     shards 2, 4 and 8 apart from the partition-dependent keys; the
+  //     counters with a kv twin equal it at every shard count; and the
+  //     shards == 2 aggregate carries the pinned deterministic values.
   // Beyond the batching golden and both heavy workloads, the rows cover
   // the per-shard pieces of the assembly: the static best set over the
   // CSR overlay, per-shard path replicas and oracle monitors (on-demand
@@ -473,23 +517,23 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     c.strategy = StrategySpec::make_flat(0.2);
     c.ihave_batch_window = 20 * kMillisecond;
     scenarios.push_back({"flat batched", 13594102927201393101ULL,
-                         9375248610818417151ULL, 1569101064123381293ULL, c});
+                         9375248610818417151ULL, 6905396730814000469ULL, c});
   }
   scenarios.push_back(
       {"heavy saturated", 274683939965400477ULL, 7599652059359661393ULL,
-       14729230286221015640ULL, heavy_config()});
+       11539751588960963977ULL, heavy_config()});
   {
     ExperimentConfig c = saturated_heavy_config();
     c.backpressure = true;
     scenarios.push_back({"heavy saturated backpressure", 8385663769898990067ULL,
-                         571881640632054520ULL, 18086768541099416422ULL, c});
+                         571881640632054520ULL, 7516944883419954984ULL, c});
   }
   {
     ExperimentConfig c = base100();
     c.strategy = StrategySpec::make_ranked(0.2);
     c.overlay_kind = OverlayKind::static_random;
     scenarios.push_back({"ranked oracle static", 1604900674428018904ULL,
-                         9268551740128528663ULL, 1425449851483854356ULL, c});
+                         9268551740128528663ULL, 13889045929669456421ULL, c});
   }
   {
     ExperimentConfig c = base100();
@@ -498,7 +542,7 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     c.path_model = net::PathModelKind::ondemand;
     scenarios.push_back({"hybrid oracle-latency ondemand",
                          12159288510190596882ULL, 11655525612097669028ULL,
-                         4465278905529020624ULL, c});
+                         1222815069517399547ULL, c});
   }
   {
     ExperimentConfig c = base100();
@@ -506,7 +550,7 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     c.overlay_kind = OverlayKind::hyparview;
     c.num_messages = 80;
     scenarios.push_back({"adaptive hyparview", 7881414475447806568ULL,
-                         8178467499354249240ULL, 14418830659626148297ULL, c});
+                         8178467499354249240ULL, 2210064359665294691ULL, c});
   }
   {
     ExperimentConfig c = base100();
@@ -514,7 +558,7 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     c.loss_rate = 0.15;
     c.message_lifetime = 20 * kSecond;
     scenarios.push_back({"lossy gc", 17866614813319905191ULL,
-                         15975168835108458281ULL, 3203494203194872668ULL, c});
+                         15975168835108458281ULL, 18082783299800216517ULL, c});
   }
   const auto full_print = [](const ExperimentResult& r) {
     return fnv1a(render(r) + render_goodput(r) + render_backpressure(r) +
@@ -526,7 +570,7 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     for (const std::uint32_t shards : shard_counts) {
       ExperimentConfig c = sc.config;
       c.shards = shards;
-      c.collect_metrics = shards >= 2;
+      c.collect_metrics = true;
       configs.push_back(c);
     }
     // jobs=4 over sharded runs is the composition case: worker threads of
@@ -560,6 +604,36 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     EXPECT_EQ(fnv1a(render_shard_metrics(serial[1])), sc.shard_metrics_fp)
         << sc.label << " (shards=2 metrics) drifted; new rendering:\n"
         << render_shard_metrics(serial[1]);
+
+    // One metrics path at every shard count.
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const ExperimentResult& r = serial[i];
+      ASSERT_NE(r.metrics, nullptr) << sc.label;
+      EXPECT_EQ(r.metrics->per_node.size(), sc.config.num_nodes) << sc.label;
+      const obs::MetricsRegistry& agg = r.metrics->aggregate;
+      const std::string where =
+          std::string(sc.label) + ": shards=" + std::to_string(shard_counts[i]);
+      EXPECT_EQ(agg.counter("goodput.offered_msgs"), r.offered_msgs) << where;
+      EXPECT_EQ(agg.counter("transport.buffer_drops"), r.buffer_drops)
+          << where;
+      EXPECT_EQ(agg.counter("transport.egress_serialized_packets"),
+                r.egress_serialized_packets)
+          << where;
+      EXPECT_EQ(agg.counter("recovery_gave_up"), r.recovery_gave_up) << where;
+      EXPECT_EQ(agg.counter("iwant_retries"), r.iwant_retries) << where;
+      if (i >= 2) {
+        EXPECT_EQ(render_document(*r.metrics),
+                  render_document(*serial[1].metrics))
+            << where << ": metrics document differs from shards=2";
+      }
+    }
+    std::vector<std::string> want = key_set(serial[0].metrics->aggregate);
+    for (const std::string& key : key_set(serial[1].metrics->aggregate)) {
+      if (key.rfind("sim.shard.", 0) == 0) want.push_back(key);
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(key_set(serial[1].metrics->aggregate), want)
+        << sc.label << ": shards=2 keys are not shards=1 keys + sim.shard.*";
   }
 }
 

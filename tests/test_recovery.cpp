@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "expect/expect.hpp"
+#include "expect/expect_text.hpp"
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
@@ -193,6 +195,69 @@ TEST(SaturationRegression, DropAwareRecoveryReadvertisesPurgedPayloads) {
   EXPECT_GT(r.drops_readvertised, 0u);
   EXPECT_DOUBLE_EQ(r.mean_delivery_fraction, 1.0);
   EXPECT_EQ(r.recovery_stalled, 0u);
+}
+
+TEST(RecoveryRegression, ShardedMetricsRunChecksRecoveryBounds) {
+  // A lossy one-round recovery run on the sharded engine with metrics
+  // collected: the recovery bounds read the lifecycle registry, so it
+  // must carry the episodes; an empty registry reads 0 stalls and passes.
+  std::string error;
+  const auto options =
+      parse_cli({"--nodes", "100", "--messages", "40", "--loss", "0.3",
+                 "--retry-rounds", "1", "--pi", "0", "--shards", "2"},
+                error);
+  ASSERT_TRUE(options) << error;
+  ExperimentConfig c = options->config;
+  c.collect_metrics = true;
+  const ExperimentResult r = run_experiment(c);
+  ASSERT_NE(r.metrics, nullptr);
+  const obs::MetricsRegistry& agg = r.metrics->aggregate;
+  EXPECT_GT(agg.counter("recovery_stalled"), 0u);
+
+  expect::EvalInput in;
+  in.metrics = r.metrics.get();
+  in.scalars = expect::parse_scalars(format_result_kv(r));
+  const expect::Report report = expect::evaluate(
+      expect::parse_expectations(
+          std::string("recovery max_stalled=0 max_ms=100s\n")),
+      in);
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(report.outcomes[0].status, expect::Status::fail);
+  EXPECT_EQ(report.outcomes[0].observed,
+            static_cast<double>(agg.counter("recovery_stalled")));
+  EXPECT_EQ(report.outcomes[1].status, expect::Status::pass);
+  const stats::LogHistogram* ms = agg.find_histogram("recovery_ms");
+  ASSERT_NE(ms, nullptr);
+  ASSERT_GT(ms->count(), 0u);
+  EXPECT_EQ(report.outcomes[1].observed, static_cast<double>(ms->max()));
+}
+
+TEST(RecoveryRegression, ShardedDropsAtSilencedReceiversMergeExactly) {
+  // Warm-up kills leave silenced nodes in every view, so packets to them
+  // drop on arrival, on the receiver's shard, while the drop counts
+  // against the sender. Each shard's tracker takes the drops its shard
+  // executes, and the merged document does not depend on the split.
+  std::vector<ExperimentResult> runs;
+  for (const char* shards : {"2", "4"}) {
+    std::string error;
+    const auto options =
+        parse_cli({"--nodes", "60", "--messages", "30", "--kill", "0.2",
+                   "--shards", shards},
+                  error);
+    ASSERT_TRUE(options) << error;
+    ExperimentConfig c = options->config;
+    c.collect_metrics = true;
+    runs.push_back(run_experiment(c));
+  }
+  const obs::RunMetrics& a = *runs[0].metrics;
+  const obs::RunMetrics& b = *runs[1].metrics;
+  EXPECT_GT(a.aggregate.counter("drops_silenced"), 0u);
+  EXPECT_EQ(a.aggregate.counter("drops_silenced"),
+            b.aggregate.counter("drops_silenced"));
+  ASSERT_EQ(a.per_node.size(), b.per_node.size());
+  for (std::size_t id = 0; id < a.per_node.size(); ++id) {
+    EXPECT_EQ(a.per_node[id].to_json(), b.per_node[id].to_json()) << id;
+  }
 }
 
 }  // namespace

@@ -292,8 +292,8 @@ TEST(TreeStats, InterleavedMultiSourceTrafficAtAnyJobs) {
   EXPECT_EQ(serial, parallel);
 }
 
-/// In-process analysis and the offline esm_trees path (CSV round-trip,
-/// no topology) agree on every trace-derived metric.
+/// In-process analysis and the offline `esm_trace trees` path (CSV
+/// round-trip, no topology) agree on every trace-derived metric.
 TEST(TreeStats, OfflineCsvAnalysisMatchesInProcess) {
   harness::ExperimentConfig c = structure_config();
   c.num_nodes = 40;
