@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -642,221 +641,6 @@ std::optional<Sweep> parse_sweep(const std::vector<std::string>& base,
     sweep.points.push_back(options->config);
   }
   return sweep;
-}
-
-std::string format_result_kv(const ExperimentResult& result) {
-  std::ostringstream os;
-  os << "mean_latency_ms=" << result.mean_latency_ms << "\n"
-     << "latency_ci95_ms=" << result.latency_ci95_ms << "\n"
-     << "p50_latency_ms=" << result.p50_latency_ms << "\n"
-     << "p95_latency_ms=" << result.p95_latency_ms << "\n"
-     << "payload_per_delivery=" << result.payload_per_delivery << "\n"
-     << "payload_per_msg_all=" << result.load_all.payload_per_msg << "\n"
-     << "payload_per_msg_low=" << result.load_low.payload_per_msg << "\n"
-     << "payload_per_msg_best=" << result.load_best.payload_per_msg << "\n"
-     << "mean_delivery_fraction=" << result.mean_delivery_fraction << "\n"
-     << "atomic_delivery_fraction=" << result.atomic_delivery_fraction << "\n"
-     << "top5_connection_share=" << result.top5_connection_share << "\n"
-     << "payload_packets=" << result.payload_packets << "\n"
-     << "control_packets=" << result.control_packets << "\n"
-     << "total_bytes=" << result.total_bytes << "\n"
-     << "duplicate_payloads=" << result.duplicate_payloads << "\n"
-     << "requests_sent=" << result.requests_sent << "\n"
-     << "iwant_retries=" << result.iwant_retries << "\n"
-     << "recovery_gave_up=" << result.recovery_gave_up << "\n"
-     << "recovery_stalled=" << result.recovery_stalled << "\n"
-     << "packets_lost=" << result.packets_lost << "\n"
-     << "buffer_drops=" << result.buffer_drops << "\n"
-     << "live_nodes=" << result.live_nodes << "\n"
-     << "events_executed=" << result.events_executed << "\n"
-     << "path_model_bytes=" << result.path_model_bytes << "\n"
-     << "path_rows_computed=" << result.path_rows_computed << "\n"
-     << "path_row_evictions=" << result.path_row_evictions << "\n"
-     << "offered_msgs=" << result.offered_msgs << "\n"
-     << "offered_msgs_per_s=" << result.offered_msgs_per_s << "\n"
-     << "goodput_msgs_per_s=" << result.goodput_msgs_per_s << "\n"
-     << "redundancy_ratio=" << result.redundancy_ratio << "\n"
-     << "knee_time_ms=" << result.knee_time_ms << "\n"
-     << "offtopic_deliveries=" << result.offtopic_deliveries << "\n"
-     << "egress_serialized_packets=" << result.egress_serialized_packets
-     << "\n"
-     << "egress_queue_delay_mean_ms=" << result.egress_queue_delay_mean_ms
-     << "\n"
-     << "egress_queue_delay_max_ms=" << result.egress_queue_delay_max_ms
-     << "\n"
-     << "egress_peak_depth=" << result.egress_peak_depth << "\n"
-     << "egress_peak_queued_bytes=" << result.egress_peak_queued_bytes
-     << "\n"
-     << "eager_deferred=" << result.eager_deferred << "\n"
-     << "replies_deferred=" << result.replies_deferred << "\n"
-     << "drops_readvertised=" << result.drops_readvertised << "\n"
-     << "iwants_purged=" << result.iwants_purged << "\n"
-     << "watermark_episodes=" << result.watermark_episodes << "\n"
-     << "watermark_residency_ms=" << result.watermark_residency_ms << "\n";
-  if (result.shards_used >= 2) {
-    // Conservative-window execution accounting. busy/barrier_wait are
-    // wall-clock diagnostics (nondeterministic); the rest is exact.
-    os << "sim_shard_count=" << result.shards_used << "\n"
-       << "sim_shard_windows=" << result.shard_windows << "\n"
-       << "sim_shard_lookahead_ms=" << result.shard_lookahead_ms << "\n"
-       << "sim_shard_mailbox_packets=" << result.shard_mailbox_packets << "\n"
-       << "sim_shard_mailbox_bytes=" << result.shard_mailbox_bytes << "\n"
-       << "sim_shard_busy_ms=" << result.shard_busy_ms << "\n"
-       << "sim_shard_barrier_wait_ms=" << result.shard_barrier_wait_ms
-       << "\n";
-  }
-  if (result.tree_stats) os << format_tree_kv(*result.tree_stats);
-  if (!result.phase_reports.empty()) {
-    os << "faults_injected=" << result.faults_injected << "\n"
-       << "phases=" << result.phase_reports.size() << "\n";
-    for (std::size_t i = 0; i < result.phase_reports.size(); ++i) {
-      const auto& p = result.phase_reports[i];
-      const std::string prefix = "phase" + std::to_string(i) + "_";
-      os << prefix << "label=" << p.label << "\n"
-         << prefix << "start_ms=" << to_ms(p.start) << "\n"
-         << prefix << "end_ms=" << to_ms(p.end) << "\n"
-         << prefix << "messages=" << p.messages << "\n"
-         << prefix << "reliability=" << p.reliability << "\n"
-         << prefix << "atomic_fraction=" << p.atomic_fraction << "\n"
-         << prefix << "mean_latency_ms=" << p.mean_latency_ms << "\n"
-         << prefix << "p95_latency_ms=" << p.p95_latency_ms << "\n"
-         << prefix << "payload_per_msg=" << p.payload_per_msg << "\n"
-         << prefix << "top5_connection_share=" << p.top5_connection_share
-         << "\n"
-         << prefix << "offered_per_s=" << p.offered_per_s << "\n"
-         << prefix << "goodput_per_s=" << p.goodput_per_s << "\n";
-      if (result.tree_stats) {
-        os << prefix << "tree_edges=" << p.tree_edges << "\n"
-           << prefix << "tree_eager_hop_share=" << p.tree_eager_hop_share
-           << "\n"
-           << prefix << "tree_edge_latency_ms=" << p.tree_mean_edge_latency_ms
-           << "\n";
-      }
-    }
-  }
-  return os.str();
-}
-
-std::string format_tree_kv(const obs::TreeStats& stats) {
-  std::ostringstream os;
-  os << "tree_messages=" << stats.messages << "\n"
-     << "tree_edges=" << stats.edges << "\n"
-     << "tree_eager_edges=" << stats.eager_edges << "\n"
-     << "tree_orphan_deliveries=" << stats.orphan_deliveries << "\n"
-     << "tree_eager_hop_share=" << stats.eager_hop_share() << "\n"
-     << "tree_edge_latency_ms_mean=" << stats.mean_edge_latency_ms() << "\n"
-     << "tree_edge_latency_ms_p95="
-     << static_cast<double>(stats.edge_latency_us.quantile(0.95)) / 1000.0
-     << "\n"
-     << "tree_link_latency_ms_mean=" << stats.mean_link_latency_ms() << "\n"
-     << "tree_overlay_latency_ms_mean=" << stats.overlay_mean_link_ms()
-     << "\n"
-     << "tree_mean_depth=" << stats.mean_depth() << "\n"
-     << "tree_max_depth=" << stats.max_depth() << "\n"
-     << "tree_mean_stretch_pct=" << stats.mean_stretch() << "\n"
-     << "tree_mean_jaccard=" << stats.mean_jaccard() << "\n"
-     << "tree_interior_top_share=" << stats.interior_top_share() << "\n"
-     << "tree_eager_from_top_share=" << stats.eager_from_top_share() << "\n"
-     << "tree_top_fraction=" << stats.top_fraction << "\n"
-     << "tree_eager_child_top5_share="
-     << stats.eager_child_concentration(0.05) << "\n";
-  return os.str();
-}
-
-namespace {
-
-// %.17g round-trips doubles exactly and is locale-independent for the
-// values we emit, so the JSON is byte-stable across runs and platforms.
-std::string json_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-void append_json_string(std::string& out, const std::string& text) {
-  out += '"';
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  out += '"';
-}
-
-}  // namespace
-
-std::string format_metrics_json(
-    const obs::RunMetrics& metrics,
-    const std::vector<std::vector<stats::PhaseReport>>& phase_runs) {
-  std::string out;
-  out += "{\"schema\":\"esm-metrics-v1\",\"runs\":";
-  out += std::to_string(metrics.runs);
-  out += ",\"aggregate\":";
-  metrics.aggregate.append_json(out);
-  out += ",\"nodes\":[";
-  for (std::size_t i = 0; i < metrics.per_node.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"id\":";
-    out += std::to_string(i);
-    out += ",\"metrics\":";
-    metrics.per_node[i].append_json(out);
-    out += '}';
-  }
-  out += ']';
-
-  std::size_t num_phases = 0;
-  for (const auto& run : phase_runs) {
-    num_phases = std::max(num_phases, run.size());
-  }
-  if (num_phases > 0) {
-    out += ",\"phases\":[";
-    for (std::size_t p = 0; p < num_phases; ++p) {
-      if (p > 0) out += ',';
-      std::string label;
-      SimTime start = 0;
-      SimTime end = 0;
-      std::uint64_t messages = 0;
-      std::uint64_t deliveries = 0;
-      std::uint64_t payload_packets = 0;
-      std::uint64_t tree_edges = 0;
-      std::uint64_t tree_eager_edges = 0;
-      bool first = true;
-      for (const auto& run : phase_runs) {
-        if (p >= run.size()) continue;
-        const stats::PhaseReport& report = run[p];
-        if (first) {
-          label = report.label;
-          start = report.start;
-          first = false;
-        }
-        end = std::max(end, report.end);
-        messages += report.messages;
-        deliveries += report.deliveries;
-        payload_packets += report.payload_packets;
-        tree_edges += report.tree_edges;
-        tree_eager_edges += report.tree_eager_edges;
-      }
-      out += "{\"label\":";
-      append_json_string(out, label);
-      out += ",\"start_ms\":";
-      out += json_double(to_ms(start));
-      out += ",\"end_ms\":";
-      out += json_double(to_ms(end));
-      out += ",\"messages\":";
-      out += std::to_string(messages);
-      out += ",\"deliveries\":";
-      out += std::to_string(deliveries);
-      out += ",\"payload_packets\":";
-      out += std::to_string(payload_packets);
-      out += ",\"tree_edges\":";
-      out += std::to_string(tree_edges);
-      out += ",\"tree_eager_edges\":";
-      out += std::to_string(tree_eager_edges);
-      out += '}';
-    }
-    out += ']';
-  }
-  out += "}\n";
-  return out;
 }
 
 }  // namespace esm::harness

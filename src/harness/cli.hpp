@@ -15,6 +15,7 @@
 
 #include "harness/config.hpp"
 #include "harness/experiment.hpp"
+#include "harness/report.hpp"  // the renderers, for callers of this header
 
 namespace esm::harness {
 
@@ -75,28 +76,5 @@ struct Sweep {
 std::optional<Sweep> parse_sweep(const std::vector<std::string>& base,
                                  const std::string& param,
                                  std::string_view values, std::string& error);
-
-/// Renders an ExperimentResult as `key=value` lines (stable interface for
-/// scripts; one metric per line).
-std::string format_result_kv(const ExperimentResult& result);
-
-/// Renders emergent-structure tree metrics as `tree_*=value` lines.
-/// Appended to format_result_kv output automatically when the result
-/// carries tree stats; exposed so tools can print stats merged across
-/// --reps the same way.
-std::string format_tree_kv(const obs::TreeStats& stats);
-
-/// Renders merged run metrics as one deterministic JSON document (schema
-/// "esm-metrics-v1"): schema tag, replication count, aggregate registry,
-/// per-node registries, and (when scenarios ran) per-phase windows merged
-/// by index using only the merge-exact fields (start from the first run,
-/// end = max, message/delivery/payload counts summed). Every map is
-/// emitted in sorted key order and doubles are printed with %.17g, so the
-/// output is byte-identical however the runs were scheduled.
-/// `phase_runs` holds one phase-report vector per replication (empty
-/// vectors allowed; the "phases" key is omitted when none has phases).
-std::string format_metrics_json(
-    const obs::RunMetrics& metrics,
-    const std::vector<std::vector<stats::PhaseReport>>& phase_runs);
 
 }  // namespace esm::harness

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "common/compact.hpp"
 #include "core/gossip.hpp"
@@ -18,6 +19,7 @@
 #include "core/scheduler.hpp"
 #include "core/strategies.hpp"
 #include "fault/injector.hpp"
+#include "harness/report.hpp"
 #include "load/workload.hpp"
 #include "net/latency_model.hpp"
 #include "net/path_model.hpp"
@@ -304,6 +306,14 @@ std::string config_error(const ExperimentConfig& config, bool scenario_file,
   if (!(config.kill_fraction >= 0.0 && config.kill_fraction < 1.0)) {
     return fail("--kill: must be in [0, 1)", config.kill_fraction);
   }
+  // The warm-up kill rounds the fraction to whole nodes.
+  if (config.kill_mode != KillMode::none &&
+      std::lround(config.kill_fraction * config.num_nodes) >=
+          config.num_nodes) {
+    return fail("--kill: must leave a live node of --nodes " +
+                    std::to_string(config.num_nodes),
+                config.kill_fraction);
+  }
   if (s.kind == StrategyKind::flat && !in(s.pi, 0.0, 1.0)) {
     return fail("--pi: must be in [0, 1]", s.pi);
   }
@@ -325,12 +335,14 @@ std::string config_error(const ExperimentConfig& config, bool scenario_file,
     return fail("--degree: must be >= " + std::to_string(min_degree),
                 config.overlay.view_size);
   }
-  if (config.workload.empty() && !workload_file &&
-      config.single_sender != kInvalidNode &&
-      config.single_sender >= config.num_nodes) {
-    return fail("--sender: must be a node below --nodes " +
-                    std::to_string(config.num_nodes),
-                config.single_sender);
+  if (config.workload.empty() && !workload_file) {
+    if (config.num_messages == 0) return fail("--messages: must be >= 1", 0);
+    if (config.single_sender != kInvalidNode &&
+        config.single_sender >= config.num_nodes) {
+      return fail("--sender: must be a node below --nodes " +
+                      std::to_string(config.num_nodes),
+                  config.single_sender);
+    }
   }
   // The transport sees watermarks only with backpressure on a bounded
   // buffer, and checks them only when both are set.
@@ -408,33 +420,22 @@ class Engine {
     transport.bind_shards(*world_, std::move(shard_latency));
   }
 
-  /// Conservative-window execution accounting: the result's shard fields
-  /// and, when metrics are collected, the sim.shard.* block. Windows,
-  /// mailbox counters and the lookahead are deterministic; the busy/wait
-  /// wall-clock split is a diagnostic that varies run to run.
-  void report(ExperimentResult& result, obs::RunMetrics* metrics) const {
+  /// Conservative-window execution accounting: the result's shard fields.
+  /// Windows, mailbox counters and the lookahead are deterministic; the
+  /// busy/wait wall-clock split is a diagnostic that varies run to run.
+  void report(ExperimentResult& result) const {
     if (!world_) return;
     const sim::ShardedSimulator::Stats stats = world_->stats();
     result.shards_used = num_shards();
     result.shard_windows = stats.windows;
     result.shard_mailbox_packets = stats.mailbox_packets;
     result.shard_mailbox_bytes = stats.mailbox_bytes;
-    result.shard_lookahead_ms = to_ms(lookahead_);
-    for (std::uint64_t ns : stats.busy_ns) {
-      result.shard_busy_ms += static_cast<double>(ns) / 1e6;
+    result.shard_lookahead_us = static_cast<std::uint64_t>(lookahead_);
+    for (std::size_t s = 0; s < stats.busy_ns.size(); ++s) {
+      result.shard_busy_ms += static_cast<double>(stats.busy_ns[s]) / 1e6;
+      result.shard_barrier_wait_ms +=
+          static_cast<double>(stats.wait_ns[s]) / 1e6;
     }
-    for (std::uint64_t ns : stats.wait_ns) {
-      result.shard_barrier_wait_ms += static_cast<double>(ns) / 1e6;
-    }
-    if (metrics == nullptr) return;
-    obs::MetricsRegistry& agg = metrics->aggregate;
-    agg.add_counter("sim.shard.windows", stats.windows);
-    agg.add_counter("sim.shard.mailbox_packets", stats.mailbox_packets);
-    agg.add_counter("sim.shard.mailbox_bytes", stats.mailbox_bytes);
-    agg.gauge_max("sim.shard.count", static_cast<double>(num_shards()));
-    agg.gauge_max("sim.shard.lookahead_us", static_cast<double>(lookahead_));
-    agg.gauge_max("sim.shard.busy_ms", result.shard_busy_ms);
-    agg.gauge_max("sim.shard.barrier_wait_ms", result.shard_barrier_wait_ms);
   }
 
  private:
@@ -1561,6 +1562,9 @@ ExperimentResult Assembly::finalize() {
   const obs::GoodputReport gp = goodput.finalize(end);
   result.offered_msgs = gp.offered_msgs;
   result.offered_msgs_per_s = gp.offered_msgs_per_s;
+  result.goodput_expected_deliveries = gp.expected_deliveries;
+  result.goodput_deliveries = gp.deliveries;
+  result.goodput_payload_sends = gp.payload_sends;
   result.goodput_msgs_per_s = gp.goodput_msgs_per_s;
   result.redundancy_ratio = gp.redundancy_ratio;
   result.knee_time_ms = gp.knee_time_ms;
@@ -1572,8 +1576,8 @@ ExperimentResult Assembly::finalize() {
         static_cast<double>(egress_totals.total_sojourn_us) /
         static_cast<double>(egress_totals.serialized_packets) / 1000.0;
   }
-  result.egress_queue_delay_max_ms =
-      static_cast<double>(egress_totals.max_sojourn_us) / 1000.0;
+  result.egress_max_sojourn_us = egress_totals.max_sojourn_us;
+  result.egress_queue_delay_max_ms = result.egress_max_sojourn_us / 1e3;
   result.egress_peak_depth = egress_totals.peak_depth;
   result.egress_peak_queued_bytes = egress_totals.peak_queued_bytes;
   result.watermark_episodes = gp.watermark_episodes;
@@ -1714,83 +1718,47 @@ ExperimentResult Assembly::finalize() {
     result.tree_stats = std::move(tree);
   }
 
-  // Path-model footprint and work, replicas included.
+  // Footprints summed over the shards' copies: path-model replicas (with
+  // their row work) and message arenas, whose intern tables never shrink,
+  // so their final size is the run's peak.
   result.path_model_bytes = path_model_->memory_bytes();
   result.path_rows_computed = path_model_->rows_computed();
   result.path_row_evictions = path_model_->row_evictions();
   for (const Shard& shard : shards_) {
+    result.arena_messages += shard.arena.size();
+    result.arena_bytes += shard.arena.bytes();
     if (!shard.paths) continue;
     result.path_model_bytes += shard.paths->memory_bytes();
     result.path_rows_computed += shard.paths->rows_computed();
     result.path_row_evictions += shard.paths->row_evictions();
   }
+  engine_.report(result);
   std::shared_ptr<obs::RunMetrics> metrics;
   if (config_.collect_metrics) {
     // The shard documents merge in shard order into the first one;
-    // shards == 1 is the one-document case.
+    // shards == 1 is the one-document case. Together they are one run.
     metrics = shards_.front().metrics;
     for (Shard& shard : shards_) {
       shard.tracker->finalize();
-      if (shard.metrics == metrics) continue;
-      metrics->aggregate.merge(shard.metrics->aggregate);
-      for (NodeId id = 0; id < n; ++id) {
-        metrics->per_node[id].merge(shard.metrics->per_node[id]);
-      }
+      if (shard.metrics != metrics) metrics->merge(*shard.metrics);
     }
-    // Deterministic memory gauges (peak RSS is process-wide and
-    // scheduling-dependent, so it stays out of the metrics document).
-    // Both footprints sum the shards' copies: path replicas and arenas.
+    metrics->runs = 1;
+    // Every exported scalar with a metrics key. Backpressure keys only
+    // with the feature on, so backpressure-off documents stay
+    // byte-identical with older builds.
     obs::MetricsRegistry& agg = metrics->aggregate;
-    agg.gauge_max("path_model.bytes",
-                  static_cast<double>(result.path_model_bytes));
-    agg.gauge_max("path_model.rows_computed",
-                  static_cast<double>(result.path_rows_computed));
-    agg.gauge_max("path_model.row_evictions",
-                  static_cast<double>(result.path_row_evictions));
-    // Arena high-water marks: the intern table never shrinks, so the
-    // final size IS the run's peak — exactly what matters under many
-    // concurrent messages.
-    std::size_t arena_messages = 0;
-    std::size_t arena_bytes = 0;
-    for (const Shard& shard : shards_) {
-      arena_messages += shard.arena.size();
-      arena_bytes += shard.arena.bytes();
-    }
-    agg.gauge_max("arena.messages", static_cast<double>(arena_messages));
-    agg.gauge_max("arena.bytes", static_cast<double>(arena_bytes));
-    // Goodput/saturation and egress serialization, for --metrics-out
-    // consumers (counters sum, gauges max across --reps merges).
-    agg.add_counter("goodput.offered_msgs", gp.offered_msgs);
-    agg.add_counter("goodput.expected_deliveries", gp.expected_deliveries);
-    agg.add_counter("goodput.deliveries", gp.deliveries);
-    agg.add_counter("goodput.payload_sends", gp.payload_sends);
-    agg.add_counter("goodput.offtopic_deliveries", offtopic_deliveries_);
-    agg.gauge_max("goodput.offered_msgs_per_s", gp.offered_msgs_per_s);
-    agg.gauge_max("goodput.goodput_msgs_per_s", gp.goodput_msgs_per_s);
-    agg.gauge_max("goodput.redundancy_ratio", gp.redundancy_ratio);
-    agg.gauge_max("goodput.knee_time_ms", gp.knee_time_ms);
-    agg.add_counter("transport.egress_serialized_packets",
-                    egress_totals.serialized_packets);
-    agg.add_counter("transport.buffer_drops", result.buffer_drops);
-    agg.gauge_max("transport.egress_peak_depth",
-                  static_cast<double>(egress_totals.peak_depth));
-    agg.gauge_max("transport.egress_peak_queued_bytes",
-                  static_cast<double>(egress_totals.peak_queued_bytes));
-    agg.gauge_max("transport.egress_max_sojourn_us",
-                  static_cast<double>(egress_totals.max_sojourn_us));
-    if (config_.backpressure) {
-      // Keyed only when the feature is on, so metrics documents of
-      // backpressure-off runs stay byte-identical with older builds.
-      agg.add_counter("backpressure.eager_deferred", result.eager_deferred);
-      agg.add_counter("backpressure.replies_deferred",
-                      result.replies_deferred);
-      agg.add_counter("backpressure.drops_readvertised",
-                      result.drops_readvertised);
-      agg.add_counter("backpressure.iwants_purged", result.iwants_purged);
-      agg.add_counter("backpressure.watermark_episodes",
-                      gp.watermark_episodes);
-      agg.gauge_max("backpressure.watermark_residency_ms",
-                    gp.watermark_residency_ms);
+    for (const RunScalar& s : run_scalars(result)) {
+      if (s.json == nullptr || !s.exported(result) ||
+          (s.when == RunScalar::When::backpressure && !config_.backpressure)) {
+        continue;
+      }
+      const double gauge =
+          std::visit([](auto v) { return static_cast<double>(v); }, s.value);
+      if (s.merge == RunScalar::Merge::counter) {
+        agg.add_counter(s.json, std::get<std::uint64_t>(s.value));
+      } else {
+        agg.gauge_max(s.json, gauge);
+      }
     }
     if (result.tree_stats) {
       // Only merge-exact quantities go into the metrics document: counters
@@ -1814,7 +1782,6 @@ ExperimentResult Assembly::finalize() {
       agg.histogram("tree.jaccard_permille").merge(t.jaccard_permille);
     }
   }
-  engine_.report(result, metrics.get());
   result.metrics = std::move(metrics);
   return result;
 }

@@ -90,6 +90,11 @@ struct ExperimentResult {
   /// workload runs, num_messages for the legacy loop).
   std::uint64_t offered_msgs = 0;
   double offered_msgs_per_s = 0.0;
+  /// Sum of per-message audiences, first deliveries observed and payload
+  /// transmissions over the window (the goodput tracker's raw counts).
+  std::uint64_t goodput_expected_deliveries = 0;
+  std::uint64_t goodput_deliveries = 0;
+  std::uint64_t goodput_payload_sends = 0;
   /// Useful throughput: first deliveries per second over the window.
   double goodput_msgs_per_s = 0.0;
   /// Payload transmissions per first delivery (>= 1; 1.0 = perfect tree).
@@ -104,6 +109,7 @@ struct ExperimentResult {
   std::uint64_t egress_serialized_packets = 0;
   double egress_queue_delay_mean_ms = 0.0;  // enqueue -> wire, incl. tx time
   double egress_queue_delay_max_ms = 0.0;
+  std::uint64_t egress_max_sojourn_us = 0;  // the same maximum, exact
   std::uint64_t egress_peak_depth = 0;
   std::uint64_t egress_peak_queued_bytes = 0;
   // --- backpressure (all zero with --backpressure off) ---
@@ -136,7 +142,7 @@ struct ExperimentResult {
   std::uint64_t shard_mailbox_packets = 0;
   std::uint64_t shard_mailbox_bytes = 0;
   /// Window width actually used (min cross-shard one-way latency).
-  double shard_lookahead_ms = 0.0;
+  std::uint64_t shard_lookahead_us = 0;
   /// Wall-clock split summed over worker threads: window execution vs
   /// barrier waits. Diagnostics only — NOT deterministic across reruns.
   double shard_busy_ms = 0.0;
@@ -147,6 +153,9 @@ struct ExperimentResult {
   std::size_t path_model_bytes = 0;
   std::uint64_t path_rows_computed = 0;
   std::uint64_t path_row_evictions = 0;
+  /// Message-arena high-water marks (interned messages and bytes).
+  std::size_t arena_messages = 0;
+  std::size_t arena_bytes = 0;
   /// Noise calibration check (Fig. 6(a)): eager-rate estimate c averaged
   /// over nodes; NaN when noise is off.
   double mean_eager_rate_estimate = 0.0;

@@ -42,8 +42,7 @@ void LifecycleTracker::on_lazy_event(NodeId node, const MsgId& id,
       const auto [ep, inserted] = episodes_.try_emplace(key);
       if (inserted) {
         ep->first_ihave = sim_.now();
-        node_reg(node).add_counter("recovery_episodes");
-        metrics_.aggregate.add_counter("recovery_episodes");
+        count(node, "recovery_episodes");
       } else if (ep->state == EpisodeState::kGaveUp) {
         // A fresh advertisement restarted an abandoned recovery; it is
         // the same episode (same missing payload), re-opened.
@@ -55,28 +54,18 @@ void LifecycleTracker::on_lazy_event(NodeId node, const MsgId& id,
     case LazyEvent::kIWantRetry: {
       Episode& ep = episodes_[key];
       ++ep.iwants;
-      node_reg(node).add_counter("iwants_sent");
-      metrics_.aggregate.add_counter("iwants_sent");
+      count(node, "iwants_sent");
       if (event == LazyEvent::kIWantRetry) {
         ++ep.retries;
-        node_reg(node).add_counter("iwant_retries");
-        metrics_.aggregate.add_counter("iwant_retries");
+        count(node, "iwant_retries");
       }
       break;
     }
     case LazyEvent::kRecovered: {
       Episode* ep = episodes_.find(key);
-      if (ep == nullptr || ep->state == EpisodeState::kRecovered) {
-        break;
+      if (ep != nullptr && ep->state != EpisodeState::kRecovered) {
+        recover(node, *ep);
       }
-      ep->state = EpisodeState::kRecovered;
-      ep->closed_at = sim_.now();
-      const auto ms = static_cast<std::uint64_t>(
-          (sim_.now() - ep->first_ihave) / kMillisecond);
-      node_reg(node).add_counter("recovery_recovered");
-      node_reg(node).histogram("recovery_ms").add(ms);
-      metrics_.aggregate.add_counter("recovery_recovered");
-      metrics_.aggregate.histogram("recovery_ms").add(ms);
       break;
     }
     case LazyEvent::kGaveUp: {
@@ -85,8 +74,7 @@ void LifecycleTracker::on_lazy_event(NodeId node, const MsgId& id,
         ep->state = EpisodeState::kGaveUp;
         ep->closed_at = sim_.now();
       }
-      node_reg(node).add_counter("recovery_gave_up");
-      metrics_.aggregate.add_counter("recovery_gave_up");
+      count(node, "recovery_gave_up");
       break;
     }
   }
@@ -94,54 +82,42 @@ void LifecycleTracker::on_lazy_event(NodeId node, const MsgId& id,
 
 void LifecycleTracker::on_delivery(NodeId node, const MsgId& id,
                                    SimTime latency) {
-  const auto ms =
-      static_cast<std::uint64_t>(latency < 0 ? 0 : latency / kMillisecond);
-  node_reg(node).add_counter("deliveries");
-  node_reg(node).histogram("delivery_latency_ms").add(ms);
-  metrics_.aggregate.add_counter("deliveries");
-  metrics_.aggregate.histogram("delivery_latency_ms").add(ms);
+  count(node, "deliveries");
+  sample(node, "delivery_latency_ms",
+         static_cast<std::uint64_t>(latency < 0 ? 0 : latency / kMillisecond));
 
   // A payload can also arrive eagerly after the lazy path gave up; either
   // way, delivery closes the episode as recovered.
   Episode* ep = episodes_.find(episode_key(node, id));
   if (ep != nullptr && ep->state != EpisodeState::kRecovered) {
-    ep->state = EpisodeState::kRecovered;
-    ep->closed_at = sim_.now();
-    const auto rec_ms = static_cast<std::uint64_t>(
-        (sim_.now() - ep->first_ihave) / kMillisecond);
-    node_reg(node).add_counter("recovery_recovered");
-    node_reg(node).histogram("recovery_ms").add(rec_ms);
-    metrics_.aggregate.add_counter("recovery_recovered");
-    metrics_.aggregate.histogram("recovery_ms").add(rec_ms);
+    recover(node, *ep);
   }
+}
+
+void LifecycleTracker::recover(NodeId node, Episode& ep) {
+  ep.state = EpisodeState::kRecovered;
+  ep.closed_at = sim_.now();
+  count(node, "recovery_recovered");
+  sample(node, "recovery_ms",
+         static_cast<std::uint64_t>((sim_.now() - ep.first_ihave) /
+                                    kMillisecond));
 }
 
 void LifecycleTracker::on_drop(NodeId src, NodeId dst, bool is_payload,
                                net::Transport::DropReason reason) {
   (void)dst;
-  const char* name = drop_counter_name(reason);
-  node_reg(src).add_counter(name);
-  metrics_.aggregate.add_counter(name);
-  if (is_payload) {
-    node_reg(src).add_counter("drops_payload");
-    metrics_.aggregate.add_counter("drops_payload");
-  }
+  count(src, drop_counter_name(reason));
+  if (is_payload) count(src, "drops_payload");
 }
 
 void LifecycleTracker::on_relay(NodeId node, std::size_t relayed_to) {
-  node_reg(node).add_counter("relays");
-  node_reg(node).histogram("relay_fanout").add(relayed_to);
-  metrics_.aggregate.add_counter("relays");
-  metrics_.aggregate.histogram("relay_fanout").add(relayed_to);
+  count(node, "relays");
+  sample(node, "relay_fanout", relayed_to);
 }
 
 void LifecycleTracker::on_pull_fetch(NodeId node, bool refetch) {
-  node_reg(node).add_counter("pull_fetches");
-  metrics_.aggregate.add_counter("pull_fetches");
-  if (refetch) {
-    node_reg(node).add_counter("pull_refetches");
-    metrics_.aggregate.add_counter("pull_refetches");
-  }
+  count(node, "pull_fetches");
+  if (refetch) count(node, "pull_refetches");
 }
 
 void LifecycleTracker::finalize() {
@@ -153,8 +129,7 @@ void LifecycleTracker::finalize() {
   episodes_.for_each([&](std::uint64_t key, const Episode& ep) {
     metrics_.aggregate.histogram("recovery_iwants").add(ep.iwants);
     if (ep.state != EpisodeState::kRecovered) {
-      node_reg(static_cast<NodeId>(key >> 32)).add_counter("recovery_stalled");
-      metrics_.aggregate.add_counter("recovery_stalled");
+      count(static_cast<NodeId>(key >> 32), "recovery_stalled");
     }
   });
   // Pin the headline keys into the aggregate even at zero, so the JSON

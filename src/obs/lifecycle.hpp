@@ -91,7 +91,18 @@ class LifecycleTracker {
     return (static_cast<std::uint64_t>(node) << 32) | arena_->intern(id);
   }
 
-  MetricsRegistry& node_reg(NodeId node) { return metrics_.per_node.at(node); }
+  /// Counts one `name` event at `node` and in the run aggregate.
+  void count(NodeId node, const char* name) {
+    metrics_.per_node.at(node).add_counter(name);
+    metrics_.aggregate.add_counter(name);
+  }
+  /// Adds `value` to histogram `name` at `node` and in the run aggregate.
+  void sample(NodeId node, const char* name, std::uint64_t value) {
+    metrics_.per_node.at(node).histogram(name).add(value);
+    metrics_.aggregate.histogram(name).add(value);
+  }
+  /// Closes `ep`, an episode of `node`, as recovered now.
+  void recover(NodeId node, Episode& ep);
 
   sim::Simulator& sim_;
   RunMetrics& metrics_;

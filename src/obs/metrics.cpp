@@ -5,24 +5,20 @@
 
 namespace esm::obs {
 
-namespace {
-
-void append_quoted(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, const std::string& text) {
   out += '"';
-  for (const char c : s) {
+  for (const char c : text) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
   out += '"';
 }
 
-std::string format_double(double v) {
+std::string json_double(double value) {
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
+  std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
 }
-
-}  // namespace
 
 void MetricsRegistry::gauge_max(const std::string& name, double value) {
   const auto [it, inserted] = gauges_.try_emplace(name, value);
@@ -54,33 +50,20 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 }
 
 void MetricsRegistry::append_json(std::string& out) const {
-  out += "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    out += std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    out += format_double(value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    out += hist.to_json();
-  }
+  const auto block = [&out](const char* head, const auto& map, auto render) {
+    out += head;
+    for (auto it = map.begin(); it != map.end(); ++it) {
+      if (it != map.begin()) out += ',';
+      append_json_string(out, it->first);
+      out += ':';
+      out += render(it->second);
+    }
+  };
+  block("{\"counters\":{", counters_,
+        [](std::uint64_t v) { return std::to_string(v); });
+  block("},\"gauges\":{", gauges_, json_double);
+  block("},\"histograms\":{", histograms_,
+        [](const stats::LogHistogram& h) { return h.to_json(); });
   out += "}}";
 }
 

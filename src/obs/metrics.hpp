@@ -24,6 +24,13 @@
 
 namespace esm::obs {
 
+/// Appends `text` as a JSON string, escaping quotes and backslashes.
+void append_json_string(std::string& out, const std::string& text);
+
+/// %.17g: round-trips doubles exactly and is locale-independent for the
+/// values we emit, so JSON is byte-stable across runs and platforms.
+std::string json_double(double value);
+
 class MetricsRegistry {
  public:
   /// Adds `delta` to the named counter (created at 0 on first use).

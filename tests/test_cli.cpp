@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <type_traits>
+#include <variant>
 
 #include "common/check.hpp"
+#include "harness/report.hpp"
 
 namespace esm::harness {
 namespace {
@@ -189,6 +193,9 @@ TEST(Cli, SweepRejectsBeforeAnyRun) {
   const std::vector<std::string> small = {"--nodes", "20", "--messages", "5"};
   const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
       {{"--kill", "1"}, "--kill: must be in [0, 1), got 1"},
+      {{"--kill", "0.99"},
+       "--kill: must leave a live node of --nodes 20, got 0.99"},
+      {{"--messages", "0"}, "--messages: must be >= 1, got 0"},
       {{"--pi", "2"}, "--pi: must be in [0, 1], got 2"},
       {{"--loss", "1.5"}, "--loss: must be in [0, 1), got 1.5"},
       {{"--noise", "2"}, "--noise: must be in [0, 1], got 2"},
@@ -219,6 +226,11 @@ TEST(Cli, SweepRejectsBeforeAnyRun) {
   EXPECT_FALSE(parse_sweep({"--nodes", "2000", "--messages", "20"}, "pi",
                            "0,0.5,2", error));
   EXPECT_EQ(error, "--pi: must be in [0, 1], got 2");
+  EXPECT_FALSE(parse_sweep(small, "kill", "0,0.99", error));
+  EXPECT_EQ(error, "--kill: must leave a live node of --nodes 20, got 0.99");
+  // 0.97 of 20 rounds to 19 nodes; a workload replaces --messages.
+  EXPECT_TRUE(point(small, "kill", "0.97", error)) << error;
+  EXPECT_TRUE(parse({"--senders", "2", "--messages", "0"}));
   // Only values the run would abort on: pi is unused by ttl.
   EXPECT_TRUE(parse({"--strategy", "ttl", "--pi", "2"}));
   EXPECT_TRUE(point({"--strategy", "ttl"}, "pi", "2", error)) << error;
@@ -719,6 +731,161 @@ TEST(Cli, PhaseKvIncludesLoadRates) {
   const std::string kv = format_result_kv(r);
   EXPECT_NE(kv.find("phase0_offered_per_s=42.5"), std::string::npos);
   EXPECT_NE(kv.find("phase0_goodput_per_s=40"), std::string::npos);
+}
+
+TEST(Cli, RunScalarsNameEachNumberOnce) {
+  // Every row has a name, no name repeats, a counter holds an integer,
+  // and each conditional block keeps its prefix.
+  std::set<std::string> kv, json;
+  std::size_t twins = 0;
+  for (const RunScalar& s : run_scalars(ExperimentResult{})) {
+    ASSERT_TRUE(s.kv != nullptr || s.json != nullptr);
+    const std::string name = s.kv != nullptr ? s.kv : s.json;
+    if (s.kv != nullptr) {
+      EXPECT_TRUE(kv.insert(s.kv).second) << name;
+    }
+    if (s.json != nullptr) {
+      EXPECT_TRUE(json.insert(s.json).second) << name;
+    }
+    twins += s.kv != nullptr && s.json != nullptr;
+    if (s.merge == RunScalar::Merge::counter) {
+      EXPECT_TRUE(std::holds_alternative<std::uint64_t>(s.value)) << name;
+    }
+    const std::string key = s.json != nullptr ? s.json : "";
+    if (s.when == RunScalar::When::sharded) {
+      EXPECT_TRUE(name.starts_with("sim_shard_") ||
+                  name.starts_with("sim.shard."))
+          << name;
+    }
+    if (s.when == RunScalar::When::backpressure) {
+      EXPECT_TRUE(key.starts_with("backpressure.")) << name;
+    }
+  }
+  EXPECT_EQ(kv.size(), 50u);
+  EXPECT_EQ(json.size(), 32u);
+  EXPECT_EQ(twins, 25u);
+}
+
+TEST(Cli, RunScalarsLayoutIsPinned) {
+  // A small backpressure-on workload with a bounded buffer, so every
+  // goodput, egress and backpressure line carries a live number.
+  auto options = parse({"--nodes", "24", "--senders", "3", "--rate", "40",
+                        "--duration-ms", "1500", "--bandwidth", "400000",
+                        "--buffer", "4096", "--backpressure", "on", "--purge",
+                        "oldest", "--metrics-out", "m.json"});
+  ASSERT_TRUE(options);
+  const ExperimentResult r = run_experiment(options->config);
+  const std::string kv = format_result_kv(r);
+  EXPECT_EQ(kv, R"(mean_latency_ms=925.51
+latency_ci95_ms=48.9949
+p50_latency_ms=733.798
+p95_latency_ms=2130.18
+payload_per_delivery=1.39721
+payload_per_msg_all=1.39721
+payload_per_msg_low=1.39721
+payload_per_msg_best=0
+mean_delivery_fraction=1
+atomic_delivery_fraction=1
+top5_connection_share=0.09864
+payload_packets=6103
+control_packets=54075
+total_bytes=3977382
+duplicate_payloads=1917
+requests_sent=8287
+iwant_retries=895
+recovery_gave_up=0
+recovery_stalled=0
+packets_lost=0
+buffer_drops=21814
+live_nodes=24
+events_executed=132810
+path_model_bytes=5760
+path_rows_computed=24
+path_row_evictions=0
+offered_msgs=182
+offered_msgs_per_s=19.1688
+goodput_msgs_per_s=460.052
+redundancy_ratio=1.89423
+knee_time_ms=-1
+offtopic_deliveries=0
+egress_serialized_packets=60178
+egress_queue_delay_mean_ms=52.4386
+egress_queue_delay_max_ms=81.88
+egress_peak_depth=98
+egress_peak_queued_bytes=4096
+eager_deferred=45637
+replies_deferred=874
+drops_readvertised=19352
+iwants_purged=2418
+watermark_episodes=486
+watermark_residency_ms=71458.7
+)");
+  // The aggregate registry's scalars: the run's exported keys plus the
+  // lifecycle tracker's counters.
+  ASSERT_TRUE(r.metrics);
+  std::string scalars;
+  for (const auto& [name, value] : r.metrics->aggregate.counters()) {
+    scalars += name + "=" + text(value) + "\n";
+  }
+  for (const auto& [name, value] : r.metrics->aggregate.gauges()) {
+    scalars += name + "=" + text(value) + "\n";
+  }
+  EXPECT_EQ(scalars, R"(backpressure.drops_readvertised=19352
+backpressure.eager_deferred=45637
+backpressure.iwants_purged=2418
+backpressure.replies_deferred=874
+backpressure.watermark_episodes=486
+deliveries=4368
+drops_buffer=21814
+drops_payload=2171
+goodput.deliveries=4368
+goodput.expected_deliveries=4368
+goodput.offered_msgs=182
+goodput.offtopic_deliveries=0
+goodput.payload_sends=8274
+iwant_retries=895
+iwants_sent=8287
+recovery_episodes=3907
+recovery_gave_up=0
+recovery_recovered=3907
+recovery_stalled=0
+relays=4368
+transport.buffer_drops=21814
+transport.egress_serialized_packets=60178
+arena.bytes=19430
+arena.messages=182
+backpressure.watermark_residency_ms=71458.702999999994
+goodput.goodput_msgs_per_s=460.05233305935224
+goodput.knee_time_ms=-1
+goodput.offered_msgs_per_s=19.168847210806344
+goodput.redundancy_ratio=1.8942307692307692
+path_model.bytes=5760
+path_model.row_evictions=0
+path_model.rows_computed=24
+transport.egress_max_sojourn_us=81880
+transport.egress_peak_depth=98
+transport.egress_peak_queued_bytes=4096
+)");
+
+  // At two shards the kv keys are the same, plus sim_shard_* after
+  // watermark_residency_ms.
+  const auto keys = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      out.push_back(line.substr(0, line.find('=')));
+    }
+    return out;
+  };
+  options->config.shards = 2;
+  std::vector<std::string> want = keys(kv);
+  const auto at = std::find(want.begin(), want.end(), "watermark_residency_ms");
+  ASSERT_NE(at, want.end());
+  want.insert(at + 1, {"sim_shard_count", "sim_shard_windows",
+                       "sim_shard_lookahead_ms", "sim_shard_mailbox_packets",
+                       "sim_shard_mailbox_bytes", "sim_shard_busy_ms",
+                       "sim_shard_barrier_wait_ms"});
+  EXPECT_EQ(keys(format_result_kv(run_experiment(options->config))), want);
 }
 
 TEST(Cli, ApplySweepParamWorkloadNames) {

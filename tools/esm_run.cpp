@@ -171,19 +171,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!metrics_path.empty()) {
-      obs::RunMetrics merged;
+      // --metrics-out collects metrics in every run.
+      obs::RunMetrics merged = *results.front().metrics;
       std::vector<std::vector<stats::PhaseReport>> phase_runs;
-      phase_runs.reserve(results.size());
-      bool first = true;
       for (const auto& r : results) {
+        if (&r != &results.front()) merged.merge(*r.metrics);
         phase_runs.push_back(r.phase_reports);
-        if (!r.metrics) continue;
-        if (first) {
-          merged = *r.metrics;
-          first = false;
-        } else {
-          merged.merge(*r.metrics);
-        }
       }
       if (!write_metrics(merged, phase_runs)) return 1;
     }
