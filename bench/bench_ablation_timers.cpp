@@ -4,8 +4,10 @@
 // results in approximately 1 payload received by each destination when
 // using a fully lazy push strategy") and claims T "has no practical impact
 // in the final average latency, and can be set only approximately" in the
-// no-loss case. T0 (Radius) trades first-request delay against duplicate
-// suppression. This bench quantifies both claims.
+// no-loss case; bench/figures/ablation_timers.fig sweeps T. T0 (Radius)
+// trades first-request delay against duplicate suppression: this program
+// sweeps T0 as a multiple of rho, which no flag can express, and the IHAVE
+// batching window, whose control-byte column is not a --kv number.
 #include <cstdio>
 
 #include "harness/experiment.hpp"
@@ -23,26 +25,6 @@ int main() {
   base.seed = 2007;
   base.num_nodes = 100;
   base.num_messages = 300;
-
-  // --- T sweep: pure lazy, with and without packet loss --------------------
-  Table t_table("Ablation A3a: retransmission period T (pure lazy push)");
-  t_table.header({"T ms", "loss %", "latency ms", "payload/delivery",
-                  "deliveries %", "requests"});
-  for (const double loss : {0.0, 0.01}) {
-    for (const SimTime t_ms : {100, 200, 400, 800, 1600}) {
-      ExperimentConfig config = base;
-      config.strategy = StrategySpec::make_flat(0.0);
-      config.retransmission_period = t_ms * kMillisecond;
-      config.loss_rate = loss;
-      const auto r = harness::run_experiment(config);
-      t_table.row({std::to_string(t_ms), Table::num(100.0 * loss, 0),
-                   Table::num(r.mean_latency_ms, 0),
-                   Table::num(r.payload_per_delivery, 3),
-                   Table::num(100.0 * r.mean_delivery_fraction, 2),
-                   std::to_string(r.requests_sent)});
-    }
-  }
-  t_table.print();
 
   // --- T0 sweep: Radius first-request delay --------------------------------
   net::TopologyParams topo_params = base.topology;
@@ -91,9 +73,7 @@ int main() {
   batch_table.print();
 
   std::puts(
-      "\nClaim checks: without loss, latency is flat across T (only the\n"
-      "rare second request depends on it) — with 1% loss, small T recovers\n"
-      "faster at slightly higher request traffic. Small T0 requests\n"
+      "\nClaim checks: small T0 requests\n"
       "payloads that are already in flight (more duplicates); large T0\n"
       "delays delivery for payloads no eager path will bring. Batching\n"
       "IHAVEs cuts control packets almost linearly with the window at the\n"

@@ -15,25 +15,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
-#include "net/topology.hpp"
-
-namespace {
-
-/// rho for the distance-based Radius strategy: the q-quantile of pairwise
-/// client distances (the §6.1 oracle considers geographic position).
-double distance_quantile(const std::vector<esm::net::Point>& coords,
-                         double q) {
-  std::vector<double> d;
-  for (std::size_t a = 0; a < coords.size(); ++a) {
-    for (std::size_t b = a + 1; b < coords.size(); ++b) {
-      d.push_back(esm::net::distance(coords[a], coords[b]));
-    }
-  }
-  std::sort(d.begin(), d.end());
-  return d[static_cast<std::size_t>(q * static_cast<double>(d.size() - 1))];
-}
-
-}  // namespace
 
 int main() {
   using namespace esm;
@@ -47,20 +28,16 @@ int main() {
   base.num_nodes = 100;
   base.num_messages = 400;
 
-  // Geographic rho: pairwise distance quantile, from the same topology the
-  // experiment will use (same seed => same coordinates).
-  net::TopologyParams topo_params = base.topology;
-  topo_params.num_clients = base.num_nodes;
-  const net::Topology topo = net::generate_topology(topo_params, base.seed);
-  const double rho_geo = distance_quantile(topo.client_coords, 0.15);
-
   struct Case {
     const char* name;
     const char* paper_share;
     StrategySpec spec;
   };
-  StrategySpec radius_spec = StrategySpec::make_radius(rho_geo);
+  // Geographic rho: the pairwise client distance quantile (the §6.1
+  // oracle considers geographic position).
+  StrategySpec radius_spec = StrategySpec::make_radius(0.0);
   radius_spec.monitor = harness::MonitorKind::distance;
+  radius_spec.rho_quantile = 0.15;
   const Case cases[] = {
       {"flat (eager)", "7", StrategySpec::make_flat(1.0)},
       {"radius", "37", radius_spec},

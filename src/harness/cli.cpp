@@ -219,12 +219,22 @@ std::vector<Row> flag_table(State& s) {
             {"adaptive", StrategyKind::adaptive}});
   t.real("--pi", "P", "flat: eager probability", st.pi);
   t.uint("--u", "N", "ttl/hybrid: eager while round < N", st.u);
-  t.real("--rho", "MS",
-         "radius/hybrid: metric radius (ms, or coordinate units with "
-         "--monitor distance)",
-         st.rho);
+  Row& rho = t.real("--rho", "MS|qP",
+                    "radius/hybrid: metric radius (ms, or coordinate units "
+                    "with --monitor distance); qP is that metric's "
+                    "P-quantile over the run's client pairs",
+                    st.rho);
+  rho.set = [&st, number = std::move(rho.set)](const std::string& v) {
+    st.rho_quantile.reset();
+    if (v.empty() || v[0] != 'q') return number(v);
+    st.rho_quantile = text::parse_double(std::string_view(v).substr(1));
+    return st.rho_quantile ? std::string() : "not a quantile qP: " + v;
+  };
   t.real("--best", "F", "ranked/hybrid: best-node fraction",
          st.best_fraction);
+  t.real("--report-best", "F",
+         "node split of the best/low payload-per-message rows, 0 = --best",
+         c.report_best_fraction);
   t.flag("--gossip-rank",
          "estimate the best set epidemically instead of oracle",
          st.use_gossip_rank);
@@ -615,11 +625,18 @@ bool load_input_files(CliOptions& options, std::string& error) {
   return error.empty();
 }
 
+std::optional<ExperimentConfig> parse_point(
+    const std::vector<std::string>& args, std::string& error) {
+  std::optional<CliOptions> options = parse(args, error, true);
+  if (!options || !load_input_files(*options, error)) return std::nullopt;
+  return options->config;
+}
+
 std::optional<Sweep> parse_sweep(const std::vector<std::string>& base,
                                  const std::string& param,
                                  std::string_view values,
                                  std::string& error) {
-  std::optional<CliOptions> options = parse(base, error, true);
+  const std::optional<CliOptions> options = parse(base, error, true);
   if (!options) return std::nullopt;
   Sweep sweep{*options, {}, {}};
   State probe;
@@ -635,10 +652,10 @@ std::optional<Sweep> parse_sweep(const std::vector<std::string>& base,
   args.emplace_back();
   for (const std::string_view token : text::split(values, ',')) {
     args.back() = token;
-    options = parse(args, error, true);
-    if (!options || !load_input_files(*options, error)) return std::nullopt;
+    std::optional<ExperimentConfig> point = parse_point(args, error);
+    if (!point) return std::nullopt;
     sweep.values.emplace_back(token);
-    sweep.points.push_back(options->config);
+    sweep.points.push_back(std::move(*point));
   }
   return sweep;
 }

@@ -60,6 +60,12 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
 /// and sets `error` to one line when a file or the config is rejected.
 bool load_input_files(CliOptions& options, std::string& error);
 
+/// One sweep point: the config esm_run builds from `args`, with its input
+/// files loaded and checked. The flags esm_run handles as a single run
+/// with output files are rejected.
+std::optional<ExperimentConfig> parse_point(
+    const std::vector<std::string>& args, std::string& error);
+
 /// An esm_sweep invocation. Point i is exactly the config esm_run builds
 /// from the base flags followed by `--PARAM values[i]`.
 struct Sweep {

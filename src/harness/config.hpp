@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "common/types.hpp"
@@ -59,6 +60,10 @@ struct StrategySpec {
   /// Radius / Hybrid: metric radius rho (milliseconds for latency
   /// monitors; coordinate units for the distance monitor).
   double rho = 0.0;
+  /// Radius / Hybrid: when set, rho is this quantile P of the monitor's
+  /// pairwise metric over the run's own clients (`--rho qP`), resolved
+  /// when the run builds its world.
+  std::optional<double> rho_quantile;
   /// Ranked / Hybrid: fraction of nodes considered "best".
   double best_fraction = 0.2;
   /// Ranked / Hybrid: estimate the best set with the gossip rank protocol

@@ -134,6 +134,8 @@ StrategySpec StrategySpec::make_adaptive(double t0_ms) {
 
 std::string StrategySpec::describe() const {
   std::string out = to_string(kind);
+  const std::string rho_text =
+      rho_quantile ? "q" + trim_num(*rho_quantile) : trim_num(rho);
   switch (kind) {
     case StrategyKind::flat:
       out += " pi=" + trim_num(pi);
@@ -142,13 +144,13 @@ std::string StrategySpec::describe() const {
       out += " u=" + std::to_string(u);
       break;
     case StrategyKind::radius:
-      out += " rho=" + trim_num(rho);
+      out += " rho=" + rho_text;
       break;
     case StrategyKind::ranked:
       out += " best=" + trim_num(best_fraction);
       break;
     case StrategyKind::hybrid:
-      out += " rho=" + trim_num(rho) + " u=" + std::to_string(u) +
+      out += " rho=" + rho_text + " u=" + std::to_string(u) +
              " best=" + trim_num(best_fraction);
       break;
     case StrategyKind::adaptive:
@@ -188,6 +190,25 @@ std::vector<NodeId> rank_by_closeness(const net::PathModel& metrics) {
   return order_by_closeness_sums(metrics.closeness_sums());
 }
 
+double resolved_rho(const StrategySpec& spec, const net::PathModel& paths,
+                    const std::vector<net::Point>& coords) {
+  const bool uses_rho =
+      spec.kind == StrategyKind::radius || spec.kind == StrategyKind::hybrid;
+  if (!spec.rho_quantile || !uses_rho) return spec.rho;
+  const double p = *spec.rho_quantile;
+  if (spec.monitor != MonitorKind::distance) {
+    return to_ms(paths.latency_quantile(p));
+  }
+  std::vector<double> d;
+  for (std::size_t a = 0; a < coords.size(); ++a) {
+    for (std::size_t b = a + 1; b < coords.size(); ++b) {
+      d.push_back(net::distance(coords[a], coords[b]));
+    }
+  }
+  std::sort(d.begin(), d.end());
+  return d[static_cast<std::size_t>(p * static_cast<double>(d.size() - 1))];
+}
+
 namespace {
 
 /// Everything one virtual node runs. Pointers give address stability for
@@ -209,7 +230,7 @@ struct NodeStack {
 };
 
 std::unique_ptr<core::TransmissionStrategy> make_strategy(
-    const ExperimentConfig& config, NodeId self,
+    const ExperimentConfig& config, double rho, NodeId self,
     const core::PerformanceMonitor* monitor, const core::BestSet* best,
     Rng rng) {
   const StrategySpec& spec = config.strategy;
@@ -225,7 +246,7 @@ std::unique_ptr<core::TransmissionStrategy> make_strategy(
     } else {
       // T0 ~ one RTT within the radius (rho is in milliseconds here).
       policy.first_request_delay =
-          static_cast<SimTime>(2.0 * spec.rho * kMillisecond);
+          static_cast<SimTime>(2.0 * rho * kMillisecond);
     }
   } else if (spec.kind == StrategyKind::adaptive) {
     // The Plumtree IHAVE timer: give the eager copy a chance to arrive
@@ -241,7 +262,7 @@ std::unique_ptr<core::TransmissionStrategy> make_strategy(
       return std::make_unique<core::TtlStrategy>(spec.u, policy);
     case StrategyKind::radius:
       ESM_CHECK(monitor != nullptr, "radius strategy requires a monitor");
-      return std::make_unique<core::RadiusStrategy>(self, *monitor, spec.rho,
+      return std::make_unique<core::RadiusStrategy>(self, *monitor, rho,
                                                     policy);
     case StrategyKind::ranked:
       ESM_CHECK(best != nullptr, "ranked strategy requires a best set");
@@ -250,7 +271,7 @@ std::unique_ptr<core::TransmissionStrategy> make_strategy(
       ESM_CHECK(monitor != nullptr && best != nullptr,
                 "hybrid strategy requires a monitor and a best set");
       return std::make_unique<core::HybridStrategy>(self, *best, *monitor,
-                                                    spec.rho, spec.u, policy);
+                                                    rho, spec.u, policy);
     case StrategyKind::adaptive:
       return std::make_unique<core::AdaptiveLinkStrategy>(policy);
   }
@@ -316,6 +337,31 @@ std::string config_error(const ExperimentConfig& config, bool scenario_file,
   }
   if (s.kind == StrategyKind::flat && !in(s.pi, 0.0, 1.0)) {
     return fail("--pi: must be in [0, 1]", s.pi);
+  }
+  const bool radius =
+      s.kind == StrategyKind::radius || s.kind == StrategyKind::hybrid;
+  const bool ranked =
+      s.kind == StrategyKind::ranked || s.kind == StrategyKind::hybrid;
+  if (radius && s.rho_quantile) {
+    if (!(*s.rho_quantile > 0.0 && *s.rho_quantile < 1.0)) {
+      return fail("--rho: quantile qP must have P in (0, 1)", *s.rho_quantile);
+    }
+    // Resolving qP visits every client pair, which only the dense model's
+    // size bound keeps small.
+    if (net::resolve_path_model(config.path_model, config.num_nodes) !=
+        net::PathModelKind::dense) {
+      return "--rho: qP needs the dense path model (--nodes <= 2048)";
+    }
+  } else if (radius && s.rho < 0.0) {
+    // The first-request delay is 2 * rho.
+    return fail("--rho: must be >= 0", s.rho);
+  }
+  if (ranked && !in(s.best_fraction, 0.0, 1.0)) {
+    return fail("--best: must be in [0, 1]", s.best_fraction);
+  }
+  if (!in(config.report_best_fraction, 0.0, 1.0)) {
+    return fail("--report-best: must be in [0, 1]",
+                config.report_best_fraction);
   }
   // Any noise wraps the strategy, and so does a scenario noise ramp.
   if ((s.noise > 0.0 || config.scenario.has_noise_events()) &&
@@ -565,6 +611,7 @@ class Assembly {
   std::unique_ptr<net::PathModel> path_model_;
   std::optional<net::PathLatencyModel> latency_;
   bool needs_best_ = false;
+  double rho_ = 0.0;  // the strategy's radius, resolved
   std::vector<double> closeness_sums_;
   std::vector<NodeId> closeness_order_;
   std::vector<NodeId> oracle_best_;
@@ -655,6 +702,7 @@ void Assembly::build_world() {
     }
   }
 
+  rho_ = resolved_rho(config_.strategy, metrics, topo_.client_coords);
   needs_best_ = config_.strategy.kind == StrategyKind::ranked ||
                 config_.strategy.kind == StrategyKind::hybrid;
   // The oracle closeness ranking costs O(N²) point queries, so it is only
@@ -901,7 +949,7 @@ void Assembly::build_nodes() {
     }
 
     stack->strategy =
-        make_strategy(config_, id, monitor, best, node_rng.split(4));
+        make_strategy(config_, rho_, id, monitor, best, node_rng.split(4));
     if (wrap_noise_) {
       auto noisy = std::make_unique<core::NoisyStrategy>(
           std::move(stack->strategy), config_.strategy.noise,

@@ -219,7 +219,8 @@ std::string shard_gate_error(const ExperimentConfig& config,
 
 /// Empty when `config` can run; otherwise a one-line reason naming the
 /// flag at fault. It rejects exactly the values a module's ESM_CHECK would
-/// abort the run on (--nodes, --kill, --pi for flat, --noise, --loss,
+/// abort the run on (--nodes, --kill, --pi for flat, --rho for radius and
+/// hybrid, --best for ranked and hybrid, --report-best, --noise, --loss,
 /// --fanout, --rounds, --degree for the chosen overlay, --sender, the
 /// backpressure watermarks), then applies shard_gate_error. The CLI checks
 /// flags before it reads files: `scenario_file` and `workload_file` mark
@@ -227,6 +228,14 @@ std::string shard_gate_error(const ExperimentConfig& config,
 std::string config_error(const ExperimentConfig& config,
                          bool scenario_file = false,
                          bool workload_file = false);
+
+/// The radius a radius or hybrid run of `spec` uses over clients with
+/// these path metrics and coordinates: spec.rho, or with rho_quantile = P
+/// set, the P-quantile of what spec.monitor measures over the client
+/// pairs, the coordinate distance for the distance monitor and the
+/// one-way latency in ms for the others. Other strategies get spec.rho.
+double resolved_rho(const StrategySpec& spec, const net::PathModel& paths,
+                    const std::vector<net::Point>& coords);
 
 /// Ranks nodes by closeness centrality over the path model (lower mean
 /// latency to all others = better), best first. This is the oracle node

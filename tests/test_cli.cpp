@@ -68,6 +68,7 @@ std::vector<FlagCase> flag_cases() {
       {none, "--u", "3", [](O o) { return text(o.config.strategy.u); }, "3"},
       {none, "--rho", "12.5", [](O o) { return text(o.config.strategy.rho); }, "12.5"},
       {none, "--best", "0.5", [](O o) { return text(o.config.strategy.best_fraction); }, "0.5"},
+      {none, "--report-best", "0.25", [](O o) { return text(o.config.report_best_fraction); }, "0.25"},
       {none, "--gossip-rank", "", [](O o) { return text(o.config.strategy.use_gossip_rank); }, "1"},
       {none, "--monitor", "ping", [](O o) { return text(o.config.strategy.monitor); }, text(MonitorKind::ping)},
       {none, "--noise", "0.25", [](O o) { return text(o.config.strategy.noise); }, "0.25"},
@@ -164,7 +165,7 @@ TEST(Cli, HelpListsEveryFlagOnce) {
     for (std::string word; words >> word;) entries[flag] += word + " ";
   }
   const std::vector<FlagCase> cases = flag_cases();
-  EXPECT_EQ(cases.size(), 63u);
+  EXPECT_EQ(cases.size(), 64u);
   EXPECT_EQ(starts.size(), cases.size());
   int defaults = 0;
   for (const FlagCase& fc : cases) {
@@ -207,6 +208,18 @@ TEST(Cli, SweepRejectsBeforeAnyRun) {
       {{"--buffer", "1000", "--backpressure", "on", "--bp-low", "0.9",
         "--bp-high", "0.2"},
        "--bp-high: must be in [--bp-low, 1] with --bp-low 0.9, got 0.2"},
+      {{"--strategy", "radius", "--rho", "-5"}, "--rho: must be >= 0, got -5"},
+      {{"--strategy", "radius", "--monitor", "distance", "--rho", "-5"},
+       "--rho: must be >= 0, got -5"},
+      {{"--strategy", "hybrid", "--rho", "q1.5"},
+       "--rho: quantile qP must have P in (0, 1), got 1.5"},
+      {{"--strategy", "radius", "--rho", "q0"},
+       "--rho: quantile qP must have P in (0, 1), got 0"},
+      {{"--strategy", "ranked", "--best", "-0.5"},
+       "--best: must be in [0, 1], got -0.5"},
+      {{"--strategy", "hybrid", "--best", "1.5"},
+       "--best: must be in [0, 1], got 1.5"},
+      {{"--report-best", "2"}, "--report-best: must be in [0, 1], got 2"},
   };
   std::string error;
   for (const auto& [flags, message] : bad) {
@@ -226,6 +239,16 @@ TEST(Cli, SweepRejectsBeforeAnyRun) {
   EXPECT_FALSE(parse_sweep({"--nodes", "2000", "--messages", "20"}, "pi",
                            "0,0.5,2", error));
   EXPECT_EQ(error, "--pi: must be in [0, 1], got 2");
+  EXPECT_FALSE(parse_sweep({"--strategy", "radius"}, "rho", "5,-5", error));
+  EXPECT_EQ(error, "--rho: must be >= 0, got -5");
+  // Above the dense cutover qP would need N^2 latencies.
+  EXPECT_FALSE(parse_sweep({"--strategy", "radius", "--rho", "q0.15"}, "nodes",
+                           "100,50000", error));
+  EXPECT_EQ(error, "--rho: qP needs the dense path model (--nodes <= 2048)");
+  EXPECT_FALSE(parse_cli({"--strategy", "hybrid", "--rho", "q0.15",
+                          "--path-model", "ondemand"},
+                         error));
+  EXPECT_EQ(error, "--rho: qP needs the dense path model (--nodes <= 2048)");
   EXPECT_FALSE(parse_sweep(small, "kill", "0,0.99", error));
   EXPECT_EQ(error, "--kill: must leave a live node of --nodes 20, got 0.99");
   // 0.97 of 20 rounds to 19 nodes; a workload replaces --messages.
@@ -235,6 +258,8 @@ TEST(Cli, SweepRejectsBeforeAnyRun) {
   EXPECT_TRUE(parse({"--strategy", "ttl", "--pi", "2"}));
   EXPECT_TRUE(point({"--strategy", "ttl"}, "pi", "2", error)) << error;
   EXPECT_TRUE(point({"--overlay", "oracle"}, "degree", "0", error)) << error;
+  EXPECT_TRUE(point({"--strategy", "ranked"}, "rho", "-5", error)) << error;
+  EXPECT_TRUE(point({"--strategy", "radius"}, "best", "2", error)) << error;
 
   // Each point's input files are checked against its own --nodes.
   const std::string scn = ESM_SOURCE_DIR "/examples/partition_heal.scn";

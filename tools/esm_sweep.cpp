@@ -1,10 +1,10 @@
 // esm_sweep: sweep one parameter over a list of values and print the
-// resulting latency/bandwidth/reliability series — a generic version of
-// the figure benches for user-chosen configurations.
+// resulting latency/bandwidth/reliability series, or run a figure spec.
 //
 //   esm_sweep --param pi --values 0,0.2,0.5,1
 //   esm_sweep --param noise --values 0,0.25,0.5,1 --strategy ranked
 //   esm_sweep --param kill --values 0,0.2,0.4 --strategy ttl --u 3 --csv
+//   esm_sweep --figure bench/figures/fig5a_tradeoff.fig --jobs 2
 //
 // Any esm_run flag is accepted as the base configuration, and point V is
 // exactly what esm_run builds from the base flags followed by --NAME V:
@@ -14,18 +14,69 @@
 // table. Points run concurrently on --jobs worker threads (default:
 // hardware concurrency); each point owns its Simulator and RNG streams, so
 // output is byte-identical to --jobs 1.
+//
+// --figure FILE runs a figure spec (grammar in src/harness/figure.hpp)
+// and takes no other flag but --jobs: it prints the figure's table and
+// its predicate report, and exits 3 when a predicate fails.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/cli.hpp"
+#include "harness/figure.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
+
+namespace {
+
+int run_figure(std::vector<std::string> args) {
+  using namespace esm::harness;
+  std::string error;
+  const unsigned jobs = extract_jobs_flag(args, error);
+  if (jobs == 0 || args.size() != 2 || args[0] != "--figure") {
+    std::fprintf(stderr, "esm_sweep: %s\n",
+                 jobs == 0 ? error.c_str()
+                           : "--figure FILE takes no other flag but --jobs N");
+    return 2;
+  }
+  FigureSpec spec;
+  try {
+    spec = load_figure_file(args[1]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "esm_sweep: %s\n", e.what());
+    return 2;
+  }
+  const auto configs = figure_configs(spec, error);
+  if (!configs) {
+    std::fprintf(stderr, "esm_sweep: %s: %s\n", args[1].c_str(),
+                 error.c_str());
+    return 2;
+  }
+  std::vector<ExperimentResult> results;
+  try {
+    results = run_experiments(*configs, jobs);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "esm_sweep: %s\n", e.what());
+    return 1;
+  }
+  const FigureData data = figure_data(spec, results);
+  const std::vector<FigureCheck> checks = check_figure(spec, data);
+  std::fputs(format_figure(spec, data).c_str(), stdout);
+  std::fputs(format_checks(checks).c_str(), stdout);
+  const bool ok = std::all_of(checks.begin(), checks.end(),
+                              [](const FigureCheck& c) { return c.ok; });
+  return ok ? 0 : 3;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace esm;
   std::vector<std::string> args(argv + 1, argv + argc);
+  if (std::find(args.begin(), args.end(), "--figure") != args.end()) {
+    return run_figure(std::move(args));
+  }
 
   std::string param, values_text;
   bool csv = false;
