@@ -16,12 +16,15 @@
 // iteration order (previously unordered_map bucket order) is part of its
 // sampling behavior and changed with the compact insertion-ordered store;
 // those runs are covered by the determinism (run-to-run and cross-jobs)
-// tests instead.
+// tests instead. The wire pins, captured after that change, do pin
+// gossip-rank runs: they send every packet type through the codec and the
+// per-node packet mux.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -282,6 +285,52 @@ TEST(Equivalence, N2048StaticLazy) {
   c.overlay_kind = OverlayKind::static_random;
   c.strategy = StrategySpec::make_flat(0.0);
   expect_fingerprint(c, 6413417638893343736ULL, "2048-node static lazy");
+}
+
+// --- every packet type through the wire codec ----------------------------
+
+/// The config esm_run builds from `flags`.
+ExperimentConfig config_from_flags(const std::vector<std::string>& flags) {
+  std::string error;
+  const std::optional<ExperimentConfig> c = parse_point(flags, error);
+  EXPECT_TRUE(c.has_value()) << error;
+  return c.value_or(ExperimentConfig{});
+}
+
+/// 100 nodes and 100 messages with rank gossip and ping probes, every
+/// packet encoded at the sender and decoded at the receiver: pins each
+/// overlay's packets, PING, RANK_GOSSIP, MSG, IHAVE and IWANT through the
+/// per-node packet mux and the codec.
+ExperimentConfig wire_config(const char* overlay) {
+  return config_from_flags({"--nodes", "100", "--messages", "100",
+                            "--strategy", "hybrid", "--gossip-rank",
+                            "--monitor", "ping", "--wire", "--overlay",
+                            overlay});
+}
+
+TEST(Equivalence, WireHybridGossipRankCyclon) {
+  expect_fingerprint(wire_config("cyclon"), 17255154444888426206ULL,
+                     "wire hybrid cyclon");
+}
+
+TEST(Equivalence, WireHybridGossipRankHyParView) {
+  expect_fingerprint(wire_config("hyparview"), 5548072172696530788ULL,
+                     "wire hybrid hyparview");
+}
+
+TEST(Equivalence, WireHybridGossipRankNeem) {
+  expect_fingerprint(wire_config("neem"), 3930817930766667868ULL,
+                     "wire hybrid neem");
+}
+
+TEST(Equivalence, WireAdaptiveNeemPrunes) {
+  const ExperimentConfig c =
+      config_from_flags({"--nodes", "100", "--messages", "100", "--overlay",
+                         "neem", "--strategy", "adaptive", "--wire"});
+  const ExperimentResult r = run_experiment(c);
+  EXPECT_GT(r.prunes_sent, 0u);
+  EXPECT_EQ(fingerprint(r), 18286767356600929458ULL)
+      << "wire adaptive neem drifted; new rendering:\n" << render(r);
 }
 
 // --- heavy-traffic workload golden ---------------------------------------
