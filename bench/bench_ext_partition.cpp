@@ -104,9 +104,13 @@ PartitionResult run(bool with_pull_repair, std::uint64_t seed) {
     }
     transport.register_handler(id, [&nodes, id](NodeId src,
                                                 const net::PacketPtr& p) {
-      if (nodes[id].membership->handle_packet(src, p)) return;
-      if (nodes[id].scheduler->handle_packet(src, p)) return;
-      if (nodes[id].repair) nodes[id].repair->handle_packet(src, p);
+      Node& n = nodes[id];
+      if (p->type == net::PacketType::shuffle) {
+        n.membership->handle_packet(
+            src, static_cast<const overlay::ShufflePacket&>(*p));
+      } else if (!n.scheduler->handle_packet(src, p) && n.repair) {
+        n.repair->handle_packet(src, p);
+      }
     });
   }
   for (auto& n : nodes) {

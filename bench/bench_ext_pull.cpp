@@ -78,8 +78,12 @@ PullRunResult run_pull(std::uint32_t n, std::uint32_t num_messages,
         Rng(seed).split(200 + id)));
     transport.register_handler(
         id, [&membership, &nodes, id](NodeId src, const net::PacketPtr& p) {
-          if (membership[id]->handle_packet(src, p)) return;
-          nodes[id]->handle_packet(src, p);
+          if (p->type != net::PacketType::shuffle) {
+            nodes[id]->handle_packet(src, p);
+            return;
+          }
+          membership[id]->handle_packet(
+              src, static_cast<const overlay::ShufflePacket&>(*p));
         });
   }
   for (auto& m : membership) m->start();

@@ -94,10 +94,11 @@ void BM_CyclonShuffleRound(benchmark::State& state) {
       if (c != id) contacts.push_back(c);
     }
     nodes[id]->bootstrap(contacts);
-    transport.register_handler(id,
-                               [&nodes, id](NodeId src, const net::PacketPtr& p) {
-                                 nodes[id]->handle_packet(src, p);
-                               });
+    transport.register_handler(
+        id, [&nodes, id](NodeId src, const net::PacketPtr& p) {
+          nodes[id]->handle_packet(
+              src, static_cast<const overlay::ShufflePacket&>(*p));
+        });
   }
   for (auto& node : nodes) node->start();
   for (auto _ : state) {

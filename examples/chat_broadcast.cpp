@@ -94,8 +94,12 @@ int main() {
         Rng(kSeed).split(200 + id));
     transport.register_handler(id, [&members, id](NodeId src,
                                                   const net::PacketPtr& p) {
-      if (members[id].membership->handle_packet(src, p)) return;
-      members[id].scheduler->handle_packet(src, p);
+      if (p->type == net::PacketType::neem) {
+        members[id].membership->handle_packet(
+            src, static_cast<const overlay::NeemPacket&>(*p));
+      } else {
+        members[id].scheduler->handle_packet(src, p);
+      }
     });
   }
   for (auto& m : members) m.membership->start();

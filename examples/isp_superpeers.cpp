@@ -90,8 +90,12 @@ int main() {
         Rng(kSeed).split(200 + id));
     transport.register_handler(id, [&nodes, id](NodeId src,
                                                 const net::PacketPtr& p) {
-      if (nodes[id].membership->handle_packet(src, p)) return;
-      nodes[id].scheduler->handle_packet(src, p);
+      if (p->type == net::PacketType::shuffle) {
+        nodes[id].membership->handle_packet(
+            src, static_cast<const overlay::ShufflePacket&>(*p));
+      } else {
+        nodes[id].scheduler->handle_packet(src, p);
+      }
     });
   }
 

@@ -43,7 +43,7 @@ inline std::size_t wire_bytes(const AppMessage& m) {
 }
 
 /// MSG(i, d, r): full payload plus the round counter it is relayed at.
-struct DataPacket final : public net::Packet {
+struct DataPacket final : net::PacketOf<net::PacketType::data> {
   AppMessage msg;
   Round round = 0;
 };
@@ -53,7 +53,7 @@ struct DataPacket final : public net::Packet {
 /// batch several within a short window (ihave_batch_window) to amortize
 /// the header — a standard control-traffic optimization. The one id of an
 /// unbatched IHAVE sits inline in the packet; batches spill to the heap.
-struct IHavePacket final : public net::Packet {
+struct IHavePacket final : net::PacketOf<net::PacketType::ihave> {
   compact::InlineVector<MsgId, 1> ids;
 };
 
@@ -69,7 +69,7 @@ inline std::size_t ihave_bytes(std::size_t n) {
 inline constexpr std::size_t kMaxIHaveIds = 0xffff;
 
 /// IWANT(i): request for the payload of a previously advertised message.
-struct IWantPacket final : public net::Packet {
+struct IWantPacket final : net::PacketOf<net::PacketType::iwant> {
   MsgId id{};
 };
 
@@ -77,7 +77,7 @@ struct IWantPacket final : public net::Packet {
 /// redundant — the sender should push lazily to this receiver from now on.
 /// Only emitted for strategies with `wants_feedback()` (adaptive
 /// extension; not part of the paper's baseline protocol).
-struct PrunePacket final : public net::Packet {
+struct PrunePacket final : net::PacketOf<net::PacketType::prune> {
   MsgId id{};
 };
 

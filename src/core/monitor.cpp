@@ -39,27 +39,23 @@ void PingMonitor::tick() {
   peers_scratch_ = std::move(peers);
 }
 
-bool PingMonitor::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  const auto* ping = dynamic_cast<const PingPacket*>(packet.get());
-  if (ping == nullptr) return false;
-
-  if (!ping->is_pong) {
+void PingMonitor::handle_packet(NodeId src, const PingPacket& ping) {
+  if (!ping.is_pong) {
     auto pong = net::make_packet<PingPacket>();
-    pong->sent_at = ping->sent_at;  // echoed so the pinger needs no state
+    pong->sent_at = ping.sent_at;  // echoed so the pinger needs no state
     pong->is_pong = true;
     transport_.send(self_, src, std::move(pong), kControlBytes,
                     /*is_payload=*/false);
-    return true;
+    return;
   }
 
-  const auto rtt = static_cast<double>(sim_.now() - ping->sent_at);
+  const auto rtt = static_cast<double>(sim_.now() - ping.sent_at);
   auto [srtt, inserted] = srtt_us_.try_emplace(src);
   if (inserted) {
     *srtt = rtt;
   } else {
     *srtt += params_.alpha * (rtt - *srtt);
   }
-  return true;
 }
 
 double PingMonitor::metric(NodeId self, NodeId peer) const {

@@ -67,7 +67,7 @@ class DistanceMonitor final : public PerformanceMonitor {
 };
 
 /// Ping/pong packets of the runtime latency monitor.
-struct PingPacket final : public net::Packet {
+struct PingPacket final : net::PacketOf<net::PacketType::ping> {
   SimTime sent_at = 0;
   bool is_pong = false;
 };
@@ -93,8 +93,8 @@ class PingMonitor final : public PerformanceMonitor {
   void start();
   void stop();
 
-  /// Consumes ping/pong packets addressed to this node.
-  bool handle_packet(NodeId src, const net::PacketPtr& packet);
+  /// Consumes a ping or pong packet addressed to this node.
+  void handle_packet(NodeId src, const PingPacket& ping);
 
   /// SRTT/2 estimate in ms; +infinity for never-measured peers.
   double metric(NodeId self, NodeId peer) const override;

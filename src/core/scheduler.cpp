@@ -264,81 +264,84 @@ void PayloadScheduler::clear(MsgKey key) {
 }
 
 bool PayloadScheduler::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  if (const auto* data = dynamic_cast<const DataPacket*>(packet.get())) {
-    const MsgKey key = arena_->store(data->msg);
-    const bool fresh = received_.set(key);
-    if (accept_listener_) accept_listener_(src, data->msg, !fresh);
-    if (!fresh) {
-      ++stats_.duplicate_payloads;
-      if (strategy_.wants_feedback()) {
-        // Plumtree PRUNE demotes the redundant edge at *both* ends: we
-        // stop pushing eagerly to the sender, and the PRUNE packet tells
-        // the sender to stop pushing eagerly to us.
-        strategy_.on_prune(src);
-        auto prune = net::make_packet<PrunePacket>();
-        prune->id = data->msg.id;
-        transport_.send(self_, src, std::move(prune), kControlBytes,
-                        /*is_payload=*/false);
-        ++stats_.prunes_sent;
-      }
-      return true;
-    }
-    if (const Pending* p = find_pending(key)) {
-      // Free RTT sample: the payload answered our latest request to `src`.
-      if (rtt_observer_ && p->last_request_target == src) {
-        rtt_observer_(src, sim_.now() - p->last_request_time);
-      }
-      if (lazy_listener_) {
-        lazy_listener_(data->msg.id, LazyEvent::kRecovered, src);
-      }
-    }
-    clear(key);
-    receive_(data->msg, data->round, src);
-    return true;
-  }
-  if (dynamic_cast<const PrunePacket*>(packet.get()) != nullptr) {
-    strategy_.on_prune(src);
-    return true;
-  }
-  if (const auto* ihave = dynamic_cast<const IHavePacket*>(packet.get())) {
-    for (const MsgId& id : ihave->ids) {
-      const MsgKey key = arena_->intern(id);
-      if (!received_.test(key)) queue_source(key, src);
-    }
-    return true;
-  }
-  if (const auto* iwant = dynamic_cast<const IWantPacket*>(packet.get())) {
-    // The pull itself is the graft signal: this peer lacked data we hold.
-    strategy_.on_graft(src);
-    const MsgKey key = arena_->find(iwant->id);
-    const Round* round = key != kInvalidMsgKey ? cache_.find(key) : nullptr;
-    if (round == nullptr) {
-      // Only possible after garbage collection: a request can only follow
-      // our own advertisement, so the payload was cached at some point.
-      ++stats_.requests_unserved;
-      return true;
-    }
-    if (bp_.enabled && congested_) {
-      // Per-destination cap on payload replies while congested: the first
-      // few are worth racing into the queue, the rest are deferred until
-      // the low watermark (retransmission-triggered IWANT storms are the
-      // main amplifier past the knee).
-      std::uint32_t& in_flight = replies_in_flight_[src];
-      if (in_flight >= bp_.max_replies_per_dst) {
-        ++stats_.replies_deferred;
-        if (bp_listener_) bp_listener_(BpEvent::kReplyDeferred);
-        const auto [slot, fresh] =
-            deferred_replies_set_.try_emplace(deferred_id(key, src));
-        (void)slot;
-        if (fresh) deferred_replies_.push_back({key, src});
+  switch (packet->type) {
+    case net::PacketType::data: {
+      const auto& data = static_cast<const DataPacket&>(*packet);
+      const MsgKey key = arena_->store(data.msg);
+      const bool fresh = received_.set(key);
+      if (accept_listener_) accept_listener_(src, data.msg, !fresh);
+      if (!fresh) {
+        ++stats_.duplicate_payloads;
+        if (strategy_.wants_feedback()) {
+          // Plumtree PRUNE demotes the redundant edge at *both* ends: we
+          // stop pushing eagerly to the sender, and the PRUNE packet tells
+          // the sender to stop pushing eagerly to us.
+          strategy_.on_prune(src);
+          auto prune = net::make_packet<PrunePacket>();
+          prune->id = data.msg.id;
+          transport_.send(self_, src, std::move(prune), kControlBytes,
+                          /*is_payload=*/false);
+          ++stats_.prunes_sent;
+        }
         return true;
       }
-      ++in_flight;
+      if (const Pending* p = find_pending(key)) {
+        // Free RTT sample: the payload answered our latest request to `src`.
+        if (rtt_observer_ && p->last_request_target == src) {
+          rtt_observer_(src, sim_.now() - p->last_request_time);
+        }
+        if (lazy_listener_) {
+          lazy_listener_(data.msg.id, LazyEvent::kRecovered, src);
+        }
+      }
+      clear(key);
+      receive_(data.msg, data.round, src);
+      return true;
     }
-    send_data(arena_->message(key), *round, src, /*eager=*/false);
-    return true;
+    case net::PacketType::prune:
+      strategy_.on_prune(src);
+      return true;
+    case net::PacketType::ihave:
+      for (const MsgId& id : static_cast<const IHavePacket&>(*packet).ids) {
+        const MsgKey key = arena_->intern(id);
+        if (!received_.test(key)) queue_source(key, src);
+      }
+      return true;
+    case net::PacketType::iwant: {
+      // The pull itself is the graft signal: this peer lacked data we hold.
+      strategy_.on_graft(src);
+      const MsgKey key =
+          arena_->find(static_cast<const IWantPacket&>(*packet).id);
+      const Round* round = key != kInvalidMsgKey ? cache_.find(key) : nullptr;
+      if (round == nullptr) {
+        // Only possible after garbage collection: a request can only follow
+        // our own advertisement, so the payload was cached at some point.
+        ++stats_.requests_unserved;
+        return true;
+      }
+      if (bp_.enabled && congested_) {
+        // Per-destination cap on payload replies while congested: the
+        // first few are worth racing into the queue, the rest are deferred
+        // until the low watermark (retransmission-triggered IWANT storms
+        // are the main amplifier past the knee).
+        std::uint32_t& in_flight = replies_in_flight_[src];
+        if (in_flight >= bp_.max_replies_per_dst) {
+          ++stats_.replies_deferred;
+          if (bp_listener_) bp_listener_(BpEvent::kReplyDeferred);
+          const auto [slot, fresh] =
+              deferred_replies_set_.try_emplace(deferred_id(key, src));
+          (void)slot;
+          if (fresh) deferred_replies_.push_back({key, src});
+          return true;
+        }
+        ++in_flight;
+      }
+      send_data(arena_->message(key), *round, src, /*eager=*/false);
+      return true;
+    }
+    default:
+      return false;  // another protocol's packet
   }
-  return false;
 }
 
 void PayloadScheduler::set_congested(bool congested) {
@@ -354,28 +357,34 @@ void PayloadScheduler::set_congested(bool congested) {
 
 void PayloadScheduler::on_egress_purge(NodeId dst, const net::Packet& packet) {
   if (!bp_.enabled) return;
-  if (const auto* data = dynamic_cast<const DataPacket*>(&packet)) {
-    const MsgKey key = arena_->find(data->msg.id);
-    if (key != kInvalidMsgKey && cache_.contains(key)) note_drop(key, dst);
-    return;
-  }
-  if (const auto* ihave = dynamic_cast<const IHavePacket*>(&packet)) {
-    for (const MsgId& id : ihave->ids) {
-      const MsgKey key = arena_->find(id);
+  switch (packet.type) {
+    case net::PacketType::data: {
+      const MsgKey key =
+          arena_->find(static_cast<const DataPacket&>(packet).msg.id);
       if (key != kInvalidMsgKey && cache_.contains(key)) note_drop(key, dst);
+      return;
     }
-    return;
-  }
-  if (const auto* iwant = dynamic_cast<const IWantPacket*>(&packet)) {
-    ++stats_.iwants_purged;
-    if (bp_listener_) bp_listener_(BpEvent::kIWantPurged);
-    // Credit the recovery the purged request belonged to (if it is still
-    // live — the payload may have arrived via another path meanwhile), so
-    // the retry-budget check refunds the wasted pass instead of giving up.
-    const MsgKey key = arena_->find(iwant->id);
-    if (key != kInvalidMsgKey) {
-      if (Pending* p = find_pending(key)) ++p->purged;
+    case net::PacketType::ihave:
+      for (const MsgId& id : static_cast<const IHavePacket&>(packet).ids) {
+        const MsgKey key = arena_->find(id);
+        if (key != kInvalidMsgKey && cache_.contains(key)) note_drop(key, dst);
+      }
+      return;
+    case net::PacketType::iwant: {
+      ++stats_.iwants_purged;
+      if (bp_listener_) bp_listener_(BpEvent::kIWantPurged);
+      // Credit the recovery the purged request belonged to (if it is still
+      // live — the payload may have arrived via another path meanwhile), so
+      // the retry-budget check refunds the wasted pass instead of giving up.
+      const MsgKey key =
+          arena_->find(static_cast<const IWantPacket&>(packet).id);
+      if (key != kInvalidMsgKey) {
+        if (Pending* p = find_pending(key)) ++p->purged;
+      }
+      return;
     }
+    default:
+      return;
   }
 }
 

@@ -118,8 +118,8 @@ class PayloadScheduler {
   /// or lazily per the strategy.
   void l_send(const AppMessage& msg, Round round, NodeId dst);
 
-  /// Consumes MSG/IHAVE/IWANT packets addressed to this node. Returns
-  /// false if the packet belongs to another protocol.
+  /// Consumes MSG/IHAVE/IWANT/PRUNE packets addressed to this node.
+  /// Returns false for any other packet type.
   bool handle_packet(NodeId src, const net::PacketPtr& packet);
 
   /// True if payload for `id` has been received (or originated) here.

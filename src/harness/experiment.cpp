@@ -229,6 +229,13 @@ struct NodeStack {
   std::unique_ptr<core::GossipNode> gossip;
 };
 
+/// Hands `packet` to `layer` as struct T, or drops it if the node lacks it.
+template <typename T, typename Layer>
+void route(const std::unique_ptr<Layer>& layer, NodeId src,
+           const net::Packet& packet) {
+  if (layer) layer->handle_packet(src, static_cast<const T&>(packet));
+}
+
 std::unique_ptr<core::TransmissionStrategy> make_strategy(
     const ExperimentConfig& config, double rho, NodeId self,
     const core::PerformanceMonitor* monitor, const core::BestSet* best,
@@ -1038,23 +1045,27 @@ void Assembly::build_nodes() {
 
 void Assembly::wire_listeners() {
   net::Transport& transport = *transport_;
-  // Packet mux: overlay -> ping -> rank -> scheduler.
+  // Packet mux: the type byte names the one layer that owns a packet.
+  // The scheduler takes MSG, IHAVE, IWANT and PRUNE and drops the rest.
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
     NodeStack* stack = nodes_[id].get();
     transport.register_handler(
-        id, [stack](NodeId src, const net::PacketPtr& packet) {
-          if (stack->cyclon && stack->cyclon->handle_packet(src, packet)) return;
-          if (stack->hyparview && stack->hyparview->handle_packet(src, packet)) {
-            return;
+        id, [stack](NodeId src, const net::PacketPtr& p) {
+          switch (p->type) {
+            case net::PacketType::shuffle:
+              return route<overlay::ShufflePacket>(stack->cyclon, src, *p);
+            case net::PacketType::hyparview:
+              return route<overlay::HpvPacket>(stack->hyparview, src, *p);
+            case net::PacketType::neem:
+              return route<overlay::NeemPacket>(stack->neem, src, *p);
+            case net::PacketType::ping:
+              return route<core::PingPacket>(stack->ping, src, *p);
+            case net::PacketType::rank_gossip:
+              return route<rank::RankGossipPacket>(stack->rank_estimator,
+                                                   src, *p);
+            default:
+              stack->scheduler->handle_packet(src, p);
           }
-          if (stack->neem && stack->neem->handle_packet(src, packet)) return;
-          if (stack->ping && stack->ping->handle_packet(src, packet)) return;
-          if (stack->rank_estimator &&
-              stack->rank_estimator->handle_packet(src, packet)) {
-            return;
-          }
-          if (stack->scheduler->handle_packet(src, packet)) return;
-          // Unknown packet type: drop (future protocols may coexist).
         });
   }
 

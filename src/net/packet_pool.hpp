@@ -26,7 +26,7 @@
 // reports.
 //
 // PacketPtr stays std::shared_ptr<const Packet>: pooled and make_shared
-// packets mix freely, and dynamic_pointer_cast works on both.
+// packets mix freely, and static_pointer_cast works on both.
 #pragma once
 
 #include <cstddef>

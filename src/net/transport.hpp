@@ -33,11 +33,32 @@ class ShardedSimulator;
 
 namespace esm::net {
 
-/// Base class for everything that travels through the transport. Protocol
-/// layers define subclasses and dispatch on their concrete types.
-class Packet {
- public:
-  virtual ~Packet() = default;
+/// Every packet kind a protocol layer owns. The value is also the type byte
+/// of the wire frame (docs/PROTOCOL.md §8), so the numbers never change.
+enum class PacketType : std::uint8_t {
+  none = 0,  // owned by no protocol: the transport's own, or a test's
+  data = 1, ihave = 2, iwant = 3, shuffle = 4, ping = 5, rank_gossip = 6,
+  heartbeat = 7, attach_request = 8, attach_accept = 9, pull_request = 10,
+  pull_reply = 11, pull_advertise = 12, pull_fetch = 13, prune = 14,
+  hyparview = 15, neem = 16,
+};
+
+/// Base of everything that travels through the transport. `type` is the
+/// only record of a packet's kind: receivers switch on it, then
+/// static_cast. No vtable, so the byte costs no memory (a vptr plus the
+/// byte would move MSG, IHAVE and IWANT up a packet_pool size class).
+/// make_packet and std::make_shared destroy the concrete struct.
+struct Packet {
+  PacketType type = PacketType::none;
+
+ protected:
+  ~Packet() = default;  // no delete through Packet*
+};
+
+/// Base of the packet kind `T`.
+template <PacketType T>
+struct PacketOf : Packet {
+  PacketOf() { type = T; }
 };
 
 using PacketPtr = std::shared_ptr<const Packet>;

@@ -80,11 +80,8 @@ void CyclonNode::shuffle_tick() {
                   /*is_payload=*/false);
 }
 
-bool CyclonNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  const auto* shuffle = dynamic_cast<const ShufflePacket*>(packet.get());
-  if (shuffle == nullptr) return false;
-
-  if (!shuffle->is_reply) {
+void CyclonNode::handle_packet(NodeId src, const ShufflePacket& shuffle) {
+  if (!shuffle.is_reply) {
     // Answer with a random slice of our view, then merge theirs. The
     // entries we shipped are the preferred victims for replacement.
     auto reply = net::make_packet<ShufflePacket>();
@@ -99,12 +96,11 @@ bool CyclonNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
     }
     const std::size_t bytes = reply->wire_bytes();
     transport_.send(self_, src, std::move(reply), bytes, /*is_payload=*/false);
-    merge(shuffle->entries, sent);
+    merge(shuffle.entries, sent);
   } else {
-    merge(shuffle->entries, last_sent_);
+    merge(shuffle.entries, last_sent_);
     last_sent_.clear();
   }
-  return true;
 }
 
 void CyclonNode::merge(const std::vector<ViewEntry>& received,

@@ -37,7 +37,7 @@ struct OverlayParams {
 };
 
 /// Shuffle request/reply packets.
-struct ShufflePacket final : public net::Packet {
+struct ShufflePacket final : net::PacketOf<net::PacketType::shuffle> {
   bool is_reply = false;
   std::vector<ViewEntry> entries;
 
@@ -69,9 +69,8 @@ class CyclonNode final : public PeerSampler {
   void start();
   void stop();
 
-  /// Consumes shuffle packets addressed to this node. Returns false if the
-  /// packet belongs to another protocol.
-  bool handle_packet(NodeId src, const net::PacketPtr& packet);
+  /// Consumes a shuffle packet addressed to this node.
+  void handle_packet(NodeId src, const ShufflePacket& shuffle);
 
   // PeerSampler:
   void sample_into(std::size_t f, std::vector<NodeId>& out) override;

@@ -150,11 +150,8 @@ void HyParViewNode::sample_into(std::size_t f, std::vector<NodeId>& out) {
   rng_.sample_into(active_.data(), active_.size(), f, out);
 }
 
-bool HyParViewNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  const auto* p = dynamic_cast<const HpvPacket*>(packet.get());
-  if (p == nullptr) return false;
-
-  switch (p->kind) {
+void HyParViewNode::handle_packet(NodeId src, const HpvPacket& p) {
+  switch (p.kind) {
     case HpvPacket::Kind::join: {
       add_active(src);
       // Tell the joiner the link is up (it learns symmetric membership).
@@ -170,21 +167,21 @@ bool HyParViewNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
       for (const NodeId peer : active_) {
         if (peer != src) send(peer, walk);
       }
-      return true;
+      return;
     }
     case HpvPacket::Kind::forward_join: {
-      const NodeId joiner = p->subject;
-      if (joiner == self_ || joiner == kInvalidNode) return true;
-      if (p->ttl == 0 || active_.size() <= 1) {
+      const NodeId joiner = p.subject;
+      if (joiner == self_ || joiner == kInvalidNode) return;
+      if (p.ttl == 0 || active_.size() <= 1) {
         // Terminal: adopt the joiner as an active neighbor.
         add_active(joiner);
         HpvPacket reply;
         reply.kind = HpvPacket::Kind::neighbor_reply;
         reply.flag = true;
         send(joiner, reply);
-        return true;
+        return;
       }
-      if (p->ttl == params_.arwl - params_.prwl) add_passive(joiner);
+      if (p.ttl == params_.arwl - params_.prwl) add_passive(joiner);
       // Continue the walk away from where it came.
       std::vector<NodeId> next;
       for (const NodeId peer : active_) {
@@ -196,65 +193,63 @@ bool HyParViewNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
         reply.kind = HpvPacket::Kind::neighbor_reply;
         reply.flag = true;
         send(joiner, reply);
-        return true;
+        return;
       }
-      HpvPacket walk = *p;
+      HpvPacket walk = p;
       --walk.ttl;
       send(next[rng_.below(next.size())], walk);
-      return true;
+      return;
     }
     case HpvPacket::Kind::neighbor: {
       HpvPacket reply;
       reply.kind = HpvPacket::Kind::neighbor_reply;
       // Priority requests must be accepted; others only if there is room.
-      reply.flag = p->flag || active_.size() < params_.active_size;
+      reply.flag = p.flag || active_.size() < params_.active_size;
       if (reply.flag) add_active(src);
       send(src, reply);
-      return true;
+      return;
     }
     case HpvPacket::Kind::neighbor_reply: {
       std::erase(pending_neighbor_, src);
-      if (p->flag) {
+      if (p.flag) {
         add_active(src);
       } else {
         add_passive(src);
         // Rejected: try another passive candidate if still under-full.
         if (active_.size() < params_.active_size) promote_from_passive();
       }
-      return true;
+      return;
     }
-    case HpvPacket::Kind::disconnect: {
+    case HpvPacket::Kind::disconnect:
       drop_active(src, /*send_disconnect=*/false, /*to_passive=*/true);
-      return true;
-    }
+      return;
     case HpvPacket::Kind::shuffle: {
-      if (p->ttl > 0 && active_.size() > 1 && p->subject != self_) {
+      if (p.ttl > 0 && active_.size() > 1 && p.subject != self_) {
         // Keep walking.
         std::vector<NodeId> next;
         for (const NodeId peer : active_) {
-          if (peer != src && peer != p->subject) next.push_back(peer);
+          if (peer != src && peer != p.subject) next.push_back(peer);
         }
         if (!next.empty()) {
-          HpvPacket walk = *p;
+          HpvPacket walk = p;
           --walk.ttl;
           send(next[rng_.below(next.size())], walk);
-          return true;
+          return;
         }
       }
       // Terminal: integrate and answer with our own sample.
       HpvPacket reply;
       reply.kind = HpvPacket::Kind::shuffle_reply;
-      reply.nodes = rng_.sample(passive_, p->nodes.size());
-      if (p->subject != kInvalidNode && p->subject != self_) {
-        send(p->subject, reply);
+      reply.nodes = rng_.sample(passive_, p.nodes.size());
+      if (p.subject != kInvalidNode && p.subject != self_) {
+        send(p.subject, reply);
       }
-      for (const NodeId id : p->nodes) add_passive(id);
-      return true;
+      for (const NodeId id : p.nodes) add_passive(id);
+      return;
     }
-    case HpvPacket::Kind::shuffle_reply: {
-      for (const NodeId id : p->nodes) add_passive(id);
-      return true;
-    }
+    case HpvPacket::Kind::shuffle_reply:
+      for (const NodeId id : p.nodes) add_passive(id);
+      return;
     case HpvPacket::Kind::keepalive: {
       HpvPacket ack;
       ack.kind = HpvPacket::Kind::keepalive_ack;
@@ -264,7 +259,7 @@ bool HyParViewNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
       if (!has_active(src) && active_.size() < params_.active_size) {
         add_active(src);
       }
-      return true;
+      return;
     }
     case HpvPacket::Kind::keepalive_ack: {
       for (std::size_t i = 0; i < active_.size(); ++i) {
@@ -273,10 +268,9 @@ bool HyParViewNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
           break;
         }
       }
-      return true;
+      return;
     }
   }
-  return true;
 }
 
 }  // namespace esm::overlay

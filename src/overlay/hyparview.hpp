@@ -61,7 +61,7 @@ struct HyParViewParams {
   std::uint32_t keepalive_loss_threshold = 3;
 };
 
-struct HpvPacket final : public net::Packet {
+struct HpvPacket final : net::PacketOf<net::PacketType::hyparview> {
   enum class Kind : std::uint8_t {
     join,
     forward_join,
@@ -97,7 +97,7 @@ class HyParViewNode final : public PeerSampler {
   void start();
   void stop();
 
-  bool handle_packet(NodeId src, const net::PacketPtr& packet);
+  void handle_packet(NodeId src, const HpvPacket& p);
 
   // PeerSampler over the active view.
   void sample_into(std::size_t f, std::vector<NodeId>& out) override;

@@ -113,11 +113,8 @@ void NeemNode::sample_into(std::size_t f, std::vector<NodeId>& out) {
   rng_.sample_into(connected_.data(), connected_.size(), f, out);
 }
 
-bool NeemNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  const auto* p = dynamic_cast<const NeemPacket*>(packet.get());
-  if (p == nullptr) return false;
-
-  switch (p->kind) {
+void NeemNode::handle_packet(NodeId src, const NeemPacket& p) {
+  switch (p.kind) {
     case NeemPacket::Kind::connect: {
       NeemPacket reply;
       if (connected_to(src)) {
@@ -131,7 +128,7 @@ bool NeemNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
         reply.kind = NeemPacket::Kind::reject;
       }
       send(src, reply);
-      return true;
+      return;
     }
     case NeemPacket::Kind::accept: {
       std::erase(pending_, src);
@@ -143,18 +140,16 @@ bool NeemNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
       // Accepting may have pushed us over target: shed down to it so the
       // overlay keeps mixing instead of saturating at max_degree.
       shed_if_over(params_.target_degree);
-      return true;
+      return;
     }
-    case NeemPacket::Kind::reject: {
+    case NeemPacket::Kind::reject:
       std::erase(pending_, src);
-      return true;
-    }
-    case NeemPacket::Kind::close: {
+      return;
+    case NeemPacket::Kind::close:
       drop(src, /*send_close=*/false);
-      return true;
-    }
+      return;
     case NeemPacket::Kind::shuffle: {
-      for (const NodeId addr : p->addresses) {
+      for (const NodeId addr : p.addresses) {
         if (addr == self_ || connected_to(addr)) continue;
         if (connected_.size() < params_.target_degree) {
           open(addr);
@@ -167,13 +162,13 @@ bool NeemNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
           open(addr);
         }
       }
-      return true;
+      return;
     }
     case NeemPacket::Kind::probe: {
       NeemPacket ack;
       ack.kind = NeemPacket::Kind::probe_ack;
       send(src, ack);
-      return true;
+      return;
     }
     case NeemPacket::Kind::probe_ack: {
       for (std::size_t i = 0; i < connected_.size(); ++i) {
@@ -182,10 +177,9 @@ bool NeemNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
           break;
         }
       }
-      return true;
+      return;
     }
   }
-  return true;
 }
 
 }  // namespace esm::overlay

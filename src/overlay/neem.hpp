@@ -46,7 +46,7 @@ struct NeemParams {
   std::uint32_t probe_loss_threshold = 3;
 };
 
-struct NeemPacket final : public net::Packet {
+struct NeemPacket final : net::PacketOf<net::PacketType::neem> {
   enum class Kind : std::uint8_t {
     connect,
     accept,
@@ -76,7 +76,7 @@ class NeemNode final : public PeerSampler {
   void start();
   void stop();
 
-  bool handle_packet(NodeId src, const net::PacketPtr& packet);
+  void handle_packet(NodeId src, const NeemPacket& p);
 
   // PeerSampler over established connections.
   void sample_into(std::size_t f, std::vector<NodeId>& out) override;

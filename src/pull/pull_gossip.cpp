@@ -78,103 +78,109 @@ void PullNode::poll_tick() {
 }
 
 bool PullNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  if (const auto* request =
-          dynamic_cast<const PullRequestPacket*>(packet.get())) {
-    // What is the poller missing? Mark its digest in the scratch bitset,
-    // then enumerate our store minus it (ascending key order).
-    theirs_scratch_.clear();
-    for (const MsgId& id : request->known) {
-      theirs_scratch_.set(arena_->intern(id));
-    }
-    std::vector<MsgKey> missing;
-    known_.for_each_set([&](std::size_t key) {
-      if (!theirs_scratch_.test(key)) missing.push_back(MsgKey(key));
-    });
-    if (missing.empty()) return true;
-    if (params_.lazy_reply) {
-      auto advertise = net::make_packet<PullAdvertisePacket>();
-      advertise->ids.reserve(missing.size());
-      for (const MsgKey key : missing) {
-        advertise->ids.push_back(arena_->id(key));
+  switch (packet->type) {
+    case net::PacketType::pull_request: {
+      const auto& request = static_cast<const PullRequestPacket&>(*packet);
+      // What is the poller missing? Mark its digest in the scratch bitset,
+      // then enumerate our store minus it (ascending key order).
+      theirs_scratch_.clear();
+      for (const MsgId& id : request.known) {
+        theirs_scratch_.set(arena_->intern(id));
       }
-      const std::size_t bytes = advertise->wire_bytes();
-      transport_.send(self_, src, std::move(advertise), bytes,
-                      /*is_payload=*/false);
-    } else {
-      // Eager pull reply: one payload packet per message, so the payload
-      // accounting matches the push protocols'.
-      for (const MsgKey key : missing) {
+      std::vector<MsgKey> missing;
+      known_.for_each_set([&](std::size_t key) {
+        if (!theirs_scratch_.test(key)) missing.push_back(MsgKey(key));
+      });
+      if (missing.empty()) return true;
+      if (params_.lazy_reply) {
+        auto advertise = net::make_packet<PullAdvertisePacket>();
+        advertise->ids.reserve(missing.size());
+        for (const MsgKey key : missing) {
+          advertise->ids.push_back(arena_->id(key));
+        }
+        const std::size_t bytes = advertise->wire_bytes();
+        transport_.send(self_, src, std::move(advertise), bytes,
+                        /*is_payload=*/false);
+      } else {
+        // Eager pull reply: one payload packet per message, so the payload
+        // accounting matches the push protocols'.
+        for (const MsgKey key : missing) {
+          auto reply = net::make_packet<PullReplyPacket>();
+          reply->messages.push_back(arena_->message(key));
+          const std::size_t bytes = reply->wire_bytes();
+          transport_.send(self_, src, std::move(reply), bytes,
+                          /*is_payload=*/true);
+        }
+      }
+      return true;
+    }
+    case net::PacketType::pull_advertise: {
+      const auto& advertise = static_cast<const PullAdvertisePacket&>(*packet);
+      const SimTime timeout = params_.refetch_timeout > 0
+                                  ? params_.refetch_timeout
+                                  : params_.period;
+      const bool rarest = params_.order == core::PullOrder::rarest;
+      fetch_scratch_.clear();
+      for (const MsgId& id : advertise.ids) {
+        const MsgKey key = arena_->intern(id);
+        if (known_.test(key)) continue;
+        if (rarest) ++advert_count_[key];
+        const auto [stamp, inserted] = fetching_.try_emplace(key);
+        if (inserted) {
+          *stamp = sim_.now();
+        } else {
+          // A fetch is already in flight; re-fetch only once it has had a
+          // full timeout to be answered (it or its reply may be lost).
+          if (sim_.now() - *stamp < timeout) continue;
+          *stamp = sim_.now();
+          ++refetches_;
+        }
+        fetch_scratch_.push_back({id, key, /*refetch=*/!inserted});
+      }
+      if (rarest && fetch_scratch_.size() > 1) {
+        // Rarest-first (PullParams::order): fewest observed advertisements
+        // first; stable so equally-rare ids keep advertise order.
+        std::stable_sort(fetch_scratch_.begin(), fetch_scratch_.end(),
+                         [this](const FetchCandidate& a,
+                                const FetchCandidate& b) {
+                           return *advert_count_.find(a.key) <
+                                  *advert_count_.find(b.key);
+                         });
+      }
+      if (!fetch_scratch_.empty()) {
+        auto fetch = net::make_packet<PullFetchPacket>();
+        fetch->ids.reserve(fetch_scratch_.size());
+        for (const FetchCandidate& c : fetch_scratch_) {
+          if (fetch_listener_) fetch_listener_(c.id, c.refetch);
+          fetch->ids.push_back(c.id);
+        }
+        const std::size_t bytes = fetch->wire_bytes();
+        transport_.send(self_, src, std::move(fetch), bytes,
+                        /*is_payload=*/false);
+      }
+      return true;
+    }
+    case net::PacketType::pull_fetch: {
+      const auto& fetch = static_cast<const PullFetchPacket&>(*packet);
+      for (const MsgId& id : fetch.ids) {
+        const MsgKey key = arena_->find(id);
+        if (key == kInvalidMsgKey || !known_.test(key)) continue;
         auto reply = net::make_packet<PullReplyPacket>();
         reply->messages.push_back(arena_->message(key));
         const std::size_t bytes = reply->wire_bytes();
         transport_.send(self_, src, std::move(reply), bytes,
                         /*is_payload=*/true);
       }
+      return true;
     }
-    return true;
+    case net::PacketType::pull_reply: {
+      const auto& reply = static_cast<const PullReplyPacket&>(*packet);
+      for (const core::AppMessage& msg : reply.messages) accept(msg);
+      return true;
+    }
+    default:
+      return false;  // another protocol's packet
   }
-  if (const auto* advertise =
-          dynamic_cast<const PullAdvertisePacket*>(packet.get())) {
-    const SimTime timeout =
-        params_.refetch_timeout > 0 ? params_.refetch_timeout : params_.period;
-    const bool rarest = params_.order == core::PullOrder::rarest;
-    fetch_scratch_.clear();
-    for (const MsgId& id : advertise->ids) {
-      const MsgKey key = arena_->intern(id);
-      if (known_.test(key)) continue;
-      if (rarest) ++advert_count_[key];
-      const auto [stamp, inserted] = fetching_.try_emplace(key);
-      if (inserted) {
-        *stamp = sim_.now();
-      } else {
-        // A fetch is already in flight; re-fetch only once it has had a
-        // full timeout to be answered (it or its reply may be lost).
-        if (sim_.now() - *stamp < timeout) continue;
-        *stamp = sim_.now();
-        ++refetches_;
-      }
-      fetch_scratch_.push_back({id, key, /*refetch=*/!inserted});
-    }
-    if (rarest && fetch_scratch_.size() > 1) {
-      // Rarest-first (PullParams::order): fewest observed advertisements
-      // first; stable so equally-rare ids keep advertise order.
-      std::stable_sort(fetch_scratch_.begin(), fetch_scratch_.end(),
-                       [this](const FetchCandidate& a,
-                              const FetchCandidate& b) {
-                         return *advert_count_.find(a.key) <
-                                *advert_count_.find(b.key);
-                       });
-    }
-    if (!fetch_scratch_.empty()) {
-      auto fetch = net::make_packet<PullFetchPacket>();
-      fetch->ids.reserve(fetch_scratch_.size());
-      for (const FetchCandidate& c : fetch_scratch_) {
-        if (fetch_listener_) fetch_listener_(c.id, c.refetch);
-        fetch->ids.push_back(c.id);
-      }
-      const std::size_t bytes = fetch->wire_bytes();
-      transport_.send(self_, src, std::move(fetch), bytes,
-                      /*is_payload=*/false);
-    }
-    return true;
-  }
-  if (const auto* fetch = dynamic_cast<const PullFetchPacket*>(packet.get())) {
-    for (const MsgId& id : fetch->ids) {
-      const MsgKey key = arena_->find(id);
-      if (key == kInvalidMsgKey || !known_.test(key)) continue;
-      auto reply = net::make_packet<PullReplyPacket>();
-      reply->messages.push_back(arena_->message(key));
-      const std::size_t bytes = reply->wire_bytes();
-      transport_.send(self_, src, std::move(reply), bytes,
-                      /*is_payload=*/true);
-    }
-    return true;
-  }
-  if (const auto* reply = dynamic_cast<const PullReplyPacket*>(packet.get())) {
-    for (const core::AppMessage& msg : reply->messages) accept(msg);
-    return true;
-  }
-  return false;
 }
 
 void PullNode::garbage_collect(const std::vector<MsgId>& ids) {

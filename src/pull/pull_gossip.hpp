@@ -35,14 +35,14 @@
 namespace esm::pull {
 
 /// Poll: "here is what I know; send me news".
-struct PullRequestPacket final : public net::Packet {
+struct PullRequestPacket final : net::PacketOf<net::PacketType::pull_request> {
   std::vector<MsgId> known;
 
   std::size_t wire_bytes() const { return 24 + known.size() * 16; }
 };
 
 /// Eager reply: full payloads the poller was missing.
-struct PullReplyPacket final : public net::Packet {
+struct PullReplyPacket final : net::PacketOf<net::PacketType::pull_reply> {
   std::vector<core::AppMessage> messages;
 
   std::size_t wire_bytes() const {
@@ -53,14 +53,15 @@ struct PullReplyPacket final : public net::Packet {
 };
 
 /// Lazy reply: just the missing ids (poller fetches separately).
-struct PullAdvertisePacket final : public net::Packet {
+struct PullAdvertisePacket final
+    : net::PacketOf<net::PacketType::pull_advertise> {
   std::vector<MsgId> ids;
 
   std::size_t wire_bytes() const { return 24 + ids.size() * 16; }
 };
 
 /// Fetch of specific payloads after a lazy reply.
-struct PullFetchPacket final : public net::Packet {
+struct PullFetchPacket final : net::PacketOf<net::PacketType::pull_fetch> {
   std::vector<MsgId> ids;
 
   std::size_t wire_bytes() const { return 24 + ids.size() * 16; }

@@ -96,12 +96,10 @@ void GossipRankEstimator::tick() {
   peers_scratch_ = std::move(peers);
 }
 
-bool GossipRankEstimator::handle_packet(NodeId, const net::PacketPtr& packet) {
-  const auto* gossip = dynamic_cast<const RankGossipPacket*>(packet.get());
-  if (gossip == nullptr) return false;
-
+void GossipRankEstimator::handle_packet(NodeId,
+                                        const RankGossipPacket& gossip) {
   const SimTime now = sim_.now();
-  for (const ScoreSample& s : gossip->samples) {
+  for (const ScoreSample& s : gossip.samples) {
     if (s.id == self_) continue;
     if (params_.max_sample_age > 0 && s.age > params_.max_sample_age) {
       continue;  // stale before it even arrived
@@ -123,7 +121,6 @@ bool GossipRankEstimator::handle_packet(NodeId, const net::PacketPtr& packet) {
         static_cast<std::uint32_t>(rng_.below(entries_.size()));
     if (entries_[pick].id != self_) erase_at(pick);
   }
-  return true;
 }
 
 double GossipRankEstimator::estimated_quantile(NodeId node) const {

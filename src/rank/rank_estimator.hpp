@@ -36,7 +36,7 @@ struct ScoreSample {
 };
 
 /// Epidemic exchange of score samples.
-struct RankGossipPacket final : public net::Packet {
+struct RankGossipPacket final : net::PacketOf<net::PacketType::rank_gossip> {
   std::vector<ScoreSample> samples;
 
   /// node(4) + age_ms(4) + score(8) per sample, plus header/count.
@@ -72,8 +72,8 @@ class GossipRankEstimator final : public core::BestSet {
   void start();
   void stop();
 
-  /// Consumes rank-gossip packets addressed to this node.
-  bool handle_packet(NodeId src, const net::PacketPtr& packet);
+  /// Consumes a rank-gossip packet addressed to this node.
+  void handle_packet(NodeId src, const RankGossipPacket& gossip);
 
   /// True when the node's estimated quantile is in the top best_fraction.
   /// For peers, decided from the local sample; unknown peers are not best.

@@ -170,46 +170,47 @@ void TreeNode::try_reattach() {
 }
 
 bool TreeNode::handle_packet(NodeId src, const net::PacketPtr& packet) {
-  if (dynamic_cast<const HeartbeatPacket*>(packet.get()) != nullptr) {
-    for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-      if (neighbors_[i] == src) {
-        missed_[i] = 0;
-        return true;
+  switch (packet->type) {
+    case net::PacketType::heartbeat:
+      for (std::size_t i = 0; i < neighbors_.size(); ++i) {
+        if (neighbors_[i] == src) {
+          missed_[i] = 0;
+          return true;
+        }
       }
+      return true;  // heartbeat from a dropped neighbor; ignore
+    case net::PacketType::attach_request: {
+      auto reply = net::make_packet<AttachAcceptPacket>();
+      const bool has_room = neighbors_.size() < params_.max_degree;
+      const bool already = std::find(neighbors_.begin(), neighbors_.end(),
+                                     src) != neighbors_.end();
+      reply->accepted = has_room && !already;
+      if (reply->accepted) {
+        neighbors_.push_back(src);
+        missed_.push_back(0);
+      }
+      transport_.send(self_, src, std::move(reply), core::kControlBytes,
+                      /*is_payload=*/false);
+      return true;
     }
-    return true;  // heartbeat from a dropped neighbor; ignore
-  }
-  if (dynamic_cast<const AttachRequestPacket*>(packet.get()) != nullptr) {
-    auto reply = net::make_packet<AttachAcceptPacket>();
-    const bool has_room = neighbors_.size() < params_.max_degree;
-    const bool already =
-        std::find(neighbors_.begin(), neighbors_.end(), src) != neighbors_.end();
-    reply->accepted = has_room && !already;
-    if (reply->accepted) {
-      neighbors_.push_back(src);
-      missed_.push_back(0);
+    case net::PacketType::attach_accept:
+      if (static_cast<const AttachAcceptPacket&>(*packet).accepted &&
+          std::find(neighbors_.begin(), neighbors_.end(), src) ==
+              neighbors_.end()) {
+        neighbors_.push_back(src);
+        missed_.push_back(0);
+      }
+      return true;
+    case net::PacketType::data: {
+      const auto& data = static_cast<const core::DataPacket&>(*packet);
+      if (!known_.insert(data.msg.id).second) return true;  // repair loop dup
+      deliver_(data.msg);
+      forward(data.msg, src);
+      return true;
     }
-    transport_.send(self_, src, std::move(reply), core::kControlBytes,
-                    /*is_payload=*/false);
-    return true;
+    default:
+      return false;  // another protocol's packet
   }
-  if (const auto* accept =
-          dynamic_cast<const AttachAcceptPacket*>(packet.get())) {
-    if (accept->accepted &&
-        std::find(neighbors_.begin(), neighbors_.end(), src) ==
-            neighbors_.end()) {
-      neighbors_.push_back(src);
-      missed_.push_back(0);
-    }
-    return true;
-  }
-  if (const auto* data = dynamic_cast<const core::DataPacket*>(packet.get())) {
-    if (!known_.insert(data->msg.id).second) return true;  // repair loop dup
-    deliver_(data->msg);
-    forward(data->msg, src);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace esm::tree

@@ -49,11 +49,13 @@ struct TreeParams {
 };
 
 /// Heartbeat between tree neighbors.
-struct HeartbeatPacket final : public net::Packet {};
+struct HeartbeatPacket final : net::PacketOf<net::PacketType::heartbeat> {};
 
 /// Reattachment request from an orphaned node to a prospective new parent.
-struct AttachRequestPacket final : public net::Packet {};
-struct AttachAcceptPacket final : public net::Packet {
+struct AttachRequestPacket final
+    : net::PacketOf<net::PacketType::attach_request> {};
+struct AttachAcceptPacket final
+    : net::PacketOf<net::PacketType::attach_accept> {
   bool accepted = false;
 };
 

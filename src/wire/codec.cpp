@@ -95,129 +95,125 @@ void read_id_list(ByteReader& r, Ids& ids) {
   for (std::uint16_t i = 0; i < count; ++i) ids.push_back(read_msg_id(r));
 }
 
-/// Encodes the body and returns its type tag.
-PacketType encode_body(const net::Packet& packet, ByteWriter& w) {
-  if (const auto* data = dynamic_cast<const core::DataPacket*>(&packet)) {
-    write_msg_id(w, data->msg.id);
-    w.u32(data->msg.origin);
-    w.u32(data->msg.seq);
-    w.i64(data->msg.multicast_time);
-    w.u32(data->round);
-    w.u32(data->msg.payload_bytes);
-    write_payload_bytes(w, data->msg);
-    return PacketType::data;
-  }
-  if (const auto* req =
-          dynamic_cast<const pull::PullRequestPacket*>(&packet)) {
-    write_id_list(w, req->known);
-    return PacketType::pull_request;
-  }
-  if (const auto* reply =
-          dynamic_cast<const pull::PullReplyPacket*>(&packet)) {
-    if (reply->messages.size() > 255) {
-      throw DecodeError("pull reply with too many messages");
+/// Encodes the body of `packet`.
+void encode_body(const net::Packet& packet, ByteWriter& w) {
+  switch (packet.type) {
+    case net::PacketType::data: {
+      const auto& data = static_cast<const core::DataPacket&>(packet);
+      write_msg_id(w, data.msg.id);
+      w.u32(data.msg.origin);
+      w.u32(data.msg.seq);
+      w.i64(data.msg.multicast_time);
+      w.u32(data.round);
+      w.u32(data.msg.payload_bytes);
+      write_payload_bytes(w, data.msg);
+      return;
     }
-    w.u8(static_cast<std::uint8_t>(reply->messages.size()));
-    for (const core::AppMessage& m : reply->messages) write_app_message(w, m);
-    return PacketType::pull_reply;
-  }
-  if (const auto* adv =
-          dynamic_cast<const pull::PullAdvertisePacket*>(&packet)) {
-    write_id_list(w, adv->ids);
-    return PacketType::pull_advertise;
-  }
-  if (const auto* fetch =
-          dynamic_cast<const pull::PullFetchPacket*>(&packet)) {
-    write_id_list(w, fetch->ids);
-    return PacketType::pull_fetch;
-  }
-  if (const auto* ihave = dynamic_cast<const core::IHavePacket*>(&packet)) {
-    write_id_list(w, ihave->ids);
-    return PacketType::ihave;
-  }
-  if (const auto* iwant = dynamic_cast<const core::IWantPacket*>(&packet)) {
-    write_msg_id(w, iwant->id);
-    return PacketType::iwant;
-  }
-  if (const auto* prune = dynamic_cast<const core::PrunePacket*>(&packet)) {
-    write_msg_id(w, prune->id);
-    return PacketType::prune;
-  }
-  if (const auto* shuffle =
-          dynamic_cast<const overlay::ShufflePacket*>(&packet)) {
-    w.u8(shuffle->is_reply ? 1 : 0);
-    if (shuffle->entries.size() > 255) {
-      throw DecodeError("shuffle with more than 255 entries");
+    case net::PacketType::pull_request:
+      write_id_list(w,
+                    static_cast<const pull::PullRequestPacket&>(packet).known);
+      return;
+    case net::PacketType::pull_reply: {
+      const auto& reply = static_cast<const pull::PullReplyPacket&>(packet);
+      if (reply.messages.size() > 255) {
+        throw DecodeError("pull reply with too many messages");
+      }
+      w.u8(static_cast<std::uint8_t>(reply.messages.size()));
+      for (const core::AppMessage& m : reply.messages) write_app_message(w, m);
+      return;
     }
-    w.u8(static_cast<std::uint8_t>(shuffle->entries.size()));
-    for (const overlay::ViewEntry& e : shuffle->entries) {
-      w.u32(e.id);
-      w.u32(e.age);
+    case net::PacketType::pull_advertise:
+      write_id_list(w,
+                    static_cast<const pull::PullAdvertisePacket&>(packet).ids);
+      return;
+    case net::PacketType::pull_fetch:
+      write_id_list(w, static_cast<const pull::PullFetchPacket&>(packet).ids);
+      return;
+    case net::PacketType::ihave:
+      write_id_list(w, static_cast<const core::IHavePacket&>(packet).ids);
+      return;
+    case net::PacketType::iwant:
+      write_msg_id(w, static_cast<const core::IWantPacket&>(packet).id);
+      return;
+    case net::PacketType::prune:
+      write_msg_id(w, static_cast<const core::PrunePacket&>(packet).id);
+      return;
+    case net::PacketType::shuffle: {
+      const auto& shuffle = static_cast<const overlay::ShufflePacket&>(packet);
+      w.u8(shuffle.is_reply ? 1 : 0);
+      if (shuffle.entries.size() > 255) {
+        throw DecodeError("shuffle with more than 255 entries");
+      }
+      w.u8(static_cast<std::uint8_t>(shuffle.entries.size()));
+      for (const overlay::ViewEntry& e : shuffle.entries) {
+        w.u32(e.id);
+        w.u32(e.age);
+      }
+      return;
     }
-    return PacketType::shuffle;
-  }
-  if (const auto* ping = dynamic_cast<const core::PingPacket*>(&packet)) {
-    w.i64(ping->sent_at);
-    w.u8(ping->is_pong ? 1 : 0);
-    return PacketType::ping;
-  }
-  if (const auto* rank =
-          dynamic_cast<const rank::RankGossipPacket*>(&packet)) {
-    if (rank->samples.size() > 0xffff) {
-      throw DecodeError("rank gossip with too many samples");
+    case net::PacketType::ping: {
+      const auto& ping = static_cast<const core::PingPacket&>(packet);
+      w.i64(ping.sent_at);
+      w.u8(ping.is_pong ? 1 : 0);
+      return;
     }
-    w.u16(static_cast<std::uint16_t>(rank->samples.size()));
-    for (const rank::ScoreSample& s : rank->samples) {
-      w.u32(s.id);
-      // Origin age in milliseconds, saturated: anything beyond ~49 days
-      // is long past every realistic max_sample_age anyway.
-      const std::int64_t age_ms =
-          std::min<std::int64_t>(std::max<std::int64_t>(s.age, 0) /
-                                     kMillisecond,
-                                 0xffffffffLL);
-      w.u32(static_cast<std::uint32_t>(age_ms));
-      w.f64(s.score);
+    case net::PacketType::rank_gossip: {
+      const auto& rank = static_cast<const rank::RankGossipPacket&>(packet);
+      if (rank.samples.size() > 0xffff) {
+        throw DecodeError("rank gossip with too many samples");
+      }
+      w.u16(static_cast<std::uint16_t>(rank.samples.size()));
+      for (const rank::ScoreSample& s : rank.samples) {
+        w.u32(s.id);
+        // Origin age in milliseconds, saturated: anything beyond ~49 days
+        // is long past every realistic max_sample_age anyway.
+        const std::int64_t age_ms =
+            std::min<std::int64_t>(std::max<std::int64_t>(s.age, 0) /
+                                       kMillisecond,
+                                   0xffffffffLL);
+        w.u32(static_cast<std::uint32_t>(age_ms));
+        w.f64(s.score);
+      }
+      return;
     }
-    return PacketType::rank_gossip;
-  }
-  if (const auto* hpv = dynamic_cast<const overlay::HpvPacket*>(&packet)) {
-    w.u8(static_cast<std::uint8_t>(hpv->kind));
-    w.u32(hpv->subject);
-    w.u32(hpv->ttl);
-    w.u8(hpv->flag ? 1 : 0);
-    if (hpv->nodes.size() > 0xffff) {
-      throw DecodeError("hyparview packet with too many nodes");
+    case net::PacketType::hyparview: {
+      const auto& hpv = static_cast<const overlay::HpvPacket&>(packet);
+      w.u8(static_cast<std::uint8_t>(hpv.kind));
+      w.u32(hpv.subject);
+      w.u32(hpv.ttl);
+      w.u8(hpv.flag ? 1 : 0);
+      if (hpv.nodes.size() > 0xffff) {
+        throw DecodeError("hyparview packet with too many nodes");
+      }
+      w.u16(static_cast<std::uint16_t>(hpv.nodes.size()));
+      for (const NodeId n : hpv.nodes) w.u32(n);
+      return;
     }
-    w.u16(static_cast<std::uint16_t>(hpv->nodes.size()));
-    for (const NodeId n : hpv->nodes) w.u32(n);
-    return PacketType::hyparview;
-  }
-  if (const auto* neem = dynamic_cast<const overlay::NeemPacket*>(&packet)) {
-    w.u8(static_cast<std::uint8_t>(neem->kind));
-    if (neem->addresses.size() > 0xffff) {
-      throw DecodeError("neem packet with too many addresses");
+    case net::PacketType::neem: {
+      const auto& neem = static_cast<const overlay::NeemPacket&>(packet);
+      w.u8(static_cast<std::uint8_t>(neem.kind));
+      if (neem.addresses.size() > 0xffff) {
+        throw DecodeError("neem packet with too many addresses");
+      }
+      w.u16(static_cast<std::uint16_t>(neem.addresses.size()));
+      for (const NodeId n : neem.addresses) w.u32(n);
+      return;
     }
-    w.u16(static_cast<std::uint16_t>(neem->addresses.size()));
-    for (const NodeId n : neem->addresses) w.u32(n);
-    return PacketType::neem;
-  }
-  if (dynamic_cast<const tree::HeartbeatPacket*>(&packet) != nullptr) {
-    return PacketType::heartbeat;
-  }
-  if (dynamic_cast<const tree::AttachRequestPacket*>(&packet) != nullptr) {
-    return PacketType::attach_request;
-  }
-  if (const auto* accept =
-          dynamic_cast<const tree::AttachAcceptPacket*>(&packet)) {
-    w.u8(accept->accepted ? 1 : 0);
-    return PacketType::attach_accept;
+    case net::PacketType::heartbeat:
+    case net::PacketType::attach_request:
+      return;
+    case net::PacketType::attach_accept:
+      w.u8(static_cast<const tree::AttachAcceptPacket&>(packet).accepted);
+      return;
+    case net::PacketType::none:
+      break;
   }
   throw DecodeError("cannot encode unknown packet type");
 }
 
-net::PacketPtr decode_body(PacketType type, ByteReader& r) {
+net::PacketPtr decode_body(net::PacketType type, ByteReader& r) {
   switch (type) {
-    case PacketType::data: {
+    case net::PacketType::data: {
       auto p = net::make_packet<core::DataPacket>();
       p->msg.id = read_msg_id(r);
       p->msg.origin = r.u32();
@@ -228,22 +224,22 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       p->msg.data = read_payload_bytes(r, p->msg.payload_bytes);
       return p;
     }
-    case PacketType::ihave: {
+    case net::PacketType::ihave: {
       auto p = net::make_packet<core::IHavePacket>();
       read_id_list(r, p->ids);
       return p;
     }
-    case PacketType::iwant: {
+    case net::PacketType::iwant: {
       auto p = net::make_packet<core::IWantPacket>();
       p->id = read_msg_id(r);
       return p;
     }
-    case PacketType::prune: {
+    case net::PacketType::prune: {
       auto p = net::make_packet<core::PrunePacket>();
       p->id = read_msg_id(r);
       return p;
     }
-    case PacketType::shuffle: {
+    case net::PacketType::shuffle: {
       auto p = net::make_packet<overlay::ShufflePacket>();
       p->is_reply = r.u8() != 0;
       const std::uint8_t count = r.u8();
@@ -256,13 +252,13 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       }
       return p;
     }
-    case PacketType::ping: {
+    case net::PacketType::ping: {
       auto p = net::make_packet<core::PingPacket>();
       p->sent_at = r.i64();
       p->is_pong = r.u8() != 0;
       return p;
     }
-    case PacketType::rank_gossip: {
+    case net::PacketType::rank_gossip: {
       auto p = net::make_packet<rank::RankGossipPacket>();
       const std::uint16_t count = r.u16();
       p->samples.reserve(count);
@@ -275,12 +271,12 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       }
       return p;
     }
-    case PacketType::pull_request: {
+    case net::PacketType::pull_request: {
       auto p = net::make_packet<pull::PullRequestPacket>();
       read_id_list(r, p->known);
       return p;
     }
-    case PacketType::pull_reply: {
+    case net::PacketType::pull_reply: {
       auto p = net::make_packet<pull::PullReplyPacket>();
       const std::uint8_t count = r.u8();
       p->messages.reserve(count);
@@ -289,17 +285,17 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       }
       return p;
     }
-    case PacketType::pull_advertise: {
+    case net::PacketType::pull_advertise: {
       auto p = net::make_packet<pull::PullAdvertisePacket>();
       read_id_list(r, p->ids);
       return p;
     }
-    case PacketType::pull_fetch: {
+    case net::PacketType::pull_fetch: {
       auto p = net::make_packet<pull::PullFetchPacket>();
       read_id_list(r, p->ids);
       return p;
     }
-    case PacketType::hyparview: {
+    case net::PacketType::hyparview: {
       auto p = net::make_packet<overlay::HpvPacket>();
       const std::uint8_t kind = r.u8();
       if (kind > static_cast<std::uint8_t>(
@@ -315,7 +311,7 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       for (std::uint16_t i = 0; i < count; ++i) p->nodes.push_back(r.u32());
       return p;
     }
-    case PacketType::neem: {
+    case net::PacketType::neem: {
       auto p = net::make_packet<overlay::NeemPacket>();
       const std::uint8_t kind = r.u8();
       if (kind > static_cast<std::uint8_t>(
@@ -328,15 +324,17 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
       for (std::uint16_t i = 0; i < count; ++i) p->addresses.push_back(r.u32());
       return p;
     }
-    case PacketType::heartbeat:
+    case net::PacketType::heartbeat:
       return net::make_packet<tree::HeartbeatPacket>();
-    case PacketType::attach_request:
+    case net::PacketType::attach_request:
       return net::make_packet<tree::AttachRequestPacket>();
-    case PacketType::attach_accept: {
+    case net::PacketType::attach_accept: {
       auto p = net::make_packet<tree::AttachAcceptPacket>();
       p->accepted = r.u8() != 0;
       return p;
     }
+    case net::PacketType::none:
+      break;
   }
   throw DecodeError("unknown packet type tag");
 }
@@ -346,12 +344,12 @@ net::PacketPtr decode_body(PacketType type, ByteReader& r) {
 std::vector<std::uint8_t> encode_packet(const net::Packet& packet, NodeId src,
                                         NodeId dst) {
   ByteWriter body;
-  const PacketType type = encode_body(packet, body);
+  encode_body(packet, body);
 
   ByteWriter frame;
   frame.u32(kMagic);
   frame.u8(kVersion);
-  frame.u8(static_cast<std::uint8_t>(type));
+  frame.u8(static_cast<std::uint8_t>(packet.type));
   frame.u16(0);  // flags
   frame.u32(src);
   frame.u32(dst);
@@ -371,7 +369,7 @@ Frame decode_packet(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   if (r.u32() != kMagic) throw DecodeError("bad magic");
   if (r.u8() != kVersion) throw DecodeError("unsupported version");
-  const auto type = static_cast<PacketType>(r.u8());
+  const auto type = static_cast<net::PacketType>(r.u8());
   (void)r.u16();  // flags
   Frame frame;
   frame.src = r.u32();

@@ -1,28 +1,9 @@
 // Wire codec: every protocol packet <-> bytes.
 //
-// Frame layout (header is exactly the paper's 24-byte NeEM header size):
-//
-//   offset  size  field
-//   0       4     magic 0x4E45454D ("NEEM")
-//   4       1     version (1)
-//   5       1     packet type (PacketType)
-//   6       2     flags (reserved, 0)
-//   8       4     source node id
-//   12      4     destination node id
-//   16      4     body length in bytes
-//   20      4     FNV-1a checksum of the body
-//   24      ...   body (per-type encoding below)
-//
-// Body encodings:
-//   data:          msgid(16) origin(4) seq(4) mcast_time(8) round(4)
-//                  payload_len(4) payload bytes (zeros in simulation)
-//   ihave/iwant:   msgid(16)
-//   shuffle:       is_reply(1) count(1) [node(4) age(4)]*
-//   ping:          sent_at(8) is_pong(1)
-//   rank_gossip:   count(2) [node(4) score(8)]*
-//   heartbeat:     (empty)
-//   attach_req:    (empty)
-//   attach_accept: accepted(1)
+// A frame is a 24-byte header (the paper's NeEM header size) followed by
+// the body of one packet. The header's type byte is the packet's
+// net::PacketType. docs/PROTOCOL.md §8 lays out the header and every
+// packet type's body.
 #pragma once
 
 #include <memory>
@@ -38,25 +19,6 @@ namespace esm::wire {
 inline constexpr std::uint32_t kMagic = 0x4E45454D;  // "NEEM"
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
-
-enum class PacketType : std::uint8_t {
-  data = 1,
-  ihave = 2,
-  iwant = 3,
-  shuffle = 4,
-  ping = 5,
-  rank_gossip = 6,
-  heartbeat = 7,
-  attach_request = 8,
-  attach_accept = 9,
-  pull_request = 10,
-  pull_reply = 11,
-  pull_advertise = 12,
-  pull_fetch = 13,
-  prune = 14,
-  hyparview = 15,
-  neem = 16,
-};
 
 /// A decoded frame: the reconstructed packet plus addressing.
 struct Frame {

@@ -532,158 +532,168 @@ std::vector<std::string> key_set(const obs::MetricsRegistry& agg) {
   return keys;
 }
 
-TEST(Equivalence, ShardCountInvarianceMatrix) {
-  // Canned scenarios × --shards {1, 2, 4, 8} × --jobs {1, 4}. The pinned
-  // contract:
-  //   * the sharded engine (shards >= 2) is bit-identical at EVERY shard
-  //     count and EVERY jobs count — one absolute fingerprint per
-  //     scenario pins its canonical event order;
-  //   * shards == 1 is the single-threaded engine, pinned by its own
-  //     fingerprint; it may differ from the sharded engine only in
-  //     same-microsecond arrival tie ordering, so no cross-engine
-  //     equality is asserted here;
-  //   * every shard count exports the whole metrics document: the
-  //     shards == 2 key set is the shards == 1 key set plus sim.shard.*,
-  //     with one per-node registry per node; the document is identical at
-  //     shards 2, 4 and 8 apart from the partition-dependent keys; the
-  //     counters with a kv twin equal it at every shard count; and the
-  //     shards == 2 aggregate carries the pinned deterministic values.
-  // Beyond the batching golden and both heavy workloads, the rows cover
-  // the per-shard pieces of the assembly: the static best set over the
-  // CSR overlay, per-shard path replicas and oracle monitors (on-demand
-  // paths), HyParView joins scheduled on shard simulators, and the
-  // control-simulator GC sweep.
-  struct Scenario {
-    const char* label;
-    std::uint64_t single_fp;
-    std::uint64_t sharded_fp;
-    std::uint64_t shard_metrics_fp;
-    ExperimentConfig config;
-  };
-  std::vector<Scenario> scenarios;
-  {
-    ExperimentConfig c = base100();
-    c.strategy = StrategySpec::make_flat(0.2);
-    c.ihave_batch_window = 20 * kMillisecond;
-    scenarios.push_back({"flat batched", 13594102927201393101ULL,
-                         9375248610818417151ULL, 6905396730814000469ULL, c});
-  }
-  scenarios.push_back(
-      {"heavy saturated", 274683939965400477ULL, 7599652059359661393ULL,
-       11539751588960963977ULL, heavy_config()});
-  {
-    ExperimentConfig c = saturated_heavy_config();
-    c.backpressure = true;
-    scenarios.push_back({"heavy saturated backpressure", 8385663769898990067ULL,
-                         571881640632054520ULL, 7516944883419954984ULL, c});
-  }
-  {
-    ExperimentConfig c = base100();
-    c.strategy = StrategySpec::make_ranked(0.2);
-    c.overlay_kind = OverlayKind::static_random;
-    scenarios.push_back({"ranked oracle static", 1604900674428018904ULL,
-                         9268551740128528663ULL, 13889045929669456421ULL, c});
-  }
-  {
-    ExperimentConfig c = base100();
-    c.strategy = StrategySpec::make_hybrid(40.0, 2, 0.2);
-    c.strategy.monitor = MonitorKind::oracle_latency;
-    c.path_model = net::PathModelKind::ondemand;
-    scenarios.push_back({"hybrid oracle-latency ondemand",
-                         12159288510190596882ULL, 11655525612097669028ULL,
-                         1222815069517399547ULL, c});
-  }
-  {
-    ExperimentConfig c = base100();
-    c.strategy = StrategySpec::make_adaptive();
-    c.overlay_kind = OverlayKind::hyparview;
-    c.num_messages = 80;
-    scenarios.push_back({"adaptive hyparview", 7881414475447806568ULL,
-                         8178467499354249240ULL, 2210064359665294691ULL, c});
-  }
-  {
-    ExperimentConfig c = base100();
-    c.strategy = StrategySpec::make_flat(0.0);
-    c.loss_rate = 0.15;
-    c.message_lifetime = 20 * kSecond;
-    scenarios.push_back({"lossy gc", 17866614813319905191ULL,
-                         15975168835108458281ULL, 18082783299800216517ULL, c});
-  }
+/// One row of the shard-count matrix: `config` at --shards {1, 2, 4, 8} ×
+/// --jobs {1, 4}. The pinned contract:
+///   * the sharded engine (shards >= 2) is bit-identical at EVERY shard
+///     count and EVERY jobs count — one absolute fingerprint per
+///     scenario pins its canonical event order;
+///   * shards == 1 is the single-threaded engine, pinned by its own
+///     fingerprint; it may differ from the sharded engine only in
+///     same-microsecond arrival tie ordering, so no cross-engine
+///     equality is asserted here;
+///   * every shard count exports the whole metrics document: the
+///     shards == 2 key set is the shards == 1 key set plus sim.shard.*,
+///     with one per-node registry per node; the document is identical at
+///     shards 2, 4 and 8 apart from the partition-dependent keys; the
+///     counters with a kv twin equal it at every shard count; and the
+///     shards == 2 aggregate carries the pinned deterministic values.
+/// Each row is its own test case, so ctest runs the rows in parallel.
+void expect_shard_count_invariance(const char* label,
+                                   const ExperimentConfig& config,
+                                   std::uint64_t single_fp,
+                                   std::uint64_t sharded_fp,
+                                   std::uint64_t shard_metrics_fp) {
   const auto full_print = [](const ExperimentResult& r) {
     return fnv1a(render(r) + render_goodput(r) + render_backpressure(r) +
                  render_shard_metrics(r));
   };
   const std::uint32_t shard_counts[] = {1, 2, 4, 8};
-  for (const Scenario& sc : scenarios) {
-    std::vector<ExperimentConfig> configs;
-    for (const std::uint32_t shards : shard_counts) {
-      ExperimentConfig c = sc.config;
-      c.shards = shards;
-      c.collect_metrics = true;
-      configs.push_back(c);
-    }
-    // jobs=4 over sharded runs is the composition case: worker threads of
-    // concurrent runs and shard workers within each run coexist.
-    const auto serial = run_experiments(configs, 1);
-    const auto parallel = run_experiments(configs, 4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(full_print(serial[i]), full_print(parallel[i]))
-          << sc.label << ": shards=" << shard_counts[i]
-          << " differs across --jobs";
-    }
-    // Mailbox traffic depends on where the shard boundaries fall, so the
-    // cross-count comparison leaves the metrics block out.
-    const auto result_print = [](const ExperimentResult& r) {
-      return fnv1a(render(r) + render_goodput(r) + render_backpressure(r));
-    };
-    for (std::size_t i = 2; i < serial.size(); ++i) {
-      EXPECT_EQ(result_print(serial[i]), result_print(serial[1]))
-          << sc.label << ": sharded engine differs between shards="
-          << shard_counts[1] << " and shards=" << shard_counts[i];
-    }
-    EXPECT_EQ(result_print(serial[0]), sc.single_fp)
-        << sc.label << " (single-threaded engine) drifted; new rendering:\n"
-        << render(serial[0]) + render_goodput(serial[0]) +
-               render_backpressure(serial[0]);
-    EXPECT_EQ(result_print(serial[1]), sc.sharded_fp)
-        << sc.label << " (sharded engine) drifted; new rendering:\n"
-        << render(serial[1]) + render_goodput(serial[1]) +
-               render_backpressure(serial[1]);
-    EXPECT_EQ(fnv1a(render_shard_metrics(serial[1])), sc.shard_metrics_fp)
-        << sc.label << " (shards=2 metrics) drifted; new rendering:\n"
-        << render_shard_metrics(serial[1]);
-
-    // One metrics path at every shard count.
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      const ExperimentResult& r = serial[i];
-      ASSERT_NE(r.metrics, nullptr) << sc.label;
-      EXPECT_EQ(r.metrics->per_node.size(), sc.config.num_nodes) << sc.label;
-      const obs::MetricsRegistry& agg = r.metrics->aggregate;
-      const std::string where =
-          std::string(sc.label) + ": shards=" + std::to_string(shard_counts[i]);
-      EXPECT_EQ(agg.counter("goodput.offered_msgs"), r.offered_msgs) << where;
-      EXPECT_EQ(agg.counter("transport.buffer_drops"), r.buffer_drops)
-          << where;
-      EXPECT_EQ(agg.counter("transport.egress_serialized_packets"),
-                r.egress_serialized_packets)
-          << where;
-      EXPECT_EQ(agg.counter("recovery_gave_up"), r.recovery_gave_up) << where;
-      EXPECT_EQ(agg.counter("iwant_retries"), r.iwant_retries) << where;
-      if (i >= 2) {
-        EXPECT_EQ(render_document(*r.metrics),
-                  render_document(*serial[1].metrics))
-            << where << ": metrics document differs from shards=2";
-      }
-    }
-    std::vector<std::string> want = key_set(serial[0].metrics->aggregate);
-    for (const std::string& key : key_set(serial[1].metrics->aggregate)) {
-      if (key.rfind("sim.shard.", 0) == 0) want.push_back(key);
-    }
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(key_set(serial[1].metrics->aggregate), want)
-        << sc.label << ": shards=2 keys are not shards=1 keys + sim.shard.*";
+  std::vector<ExperimentConfig> configs;
+  for (const std::uint32_t shards : shard_counts) {
+    ExperimentConfig c = config;
+    c.shards = shards;
+    c.collect_metrics = true;
+    configs.push_back(c);
   }
+  // jobs=4 over sharded runs is the composition case: worker threads of
+  // concurrent runs and shard workers within each run coexist.
+  const auto serial = run_experiments(configs, 1);
+  const auto parallel = run_experiments(configs, 4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(full_print(serial[i]), full_print(parallel[i]))
+        << label << ": shards=" << shard_counts[i]
+        << " differs across --jobs";
+  }
+  // Mailbox traffic depends on where the shard boundaries fall, so the
+  // cross-count comparison leaves the metrics block out.
+  const auto result_print = [](const ExperimentResult& r) {
+    return fnv1a(render(r) + render_goodput(r) + render_backpressure(r));
+  };
+  for (std::size_t i = 2; i < serial.size(); ++i) {
+    EXPECT_EQ(result_print(serial[i]), result_print(serial[1]))
+        << label << ": sharded engine differs between shards="
+        << shard_counts[1] << " and shards=" << shard_counts[i];
+  }
+  EXPECT_EQ(result_print(serial[0]), single_fp)
+      << label << " (single-threaded engine) drifted; new rendering:\n"
+      << render(serial[0]) + render_goodput(serial[0]) +
+             render_backpressure(serial[0]);
+  EXPECT_EQ(result_print(serial[1]), sharded_fp)
+      << label << " (sharded engine) drifted; new rendering:\n"
+      << render(serial[1]) + render_goodput(serial[1]) +
+             render_backpressure(serial[1]);
+  EXPECT_EQ(fnv1a(render_shard_metrics(serial[1])), shard_metrics_fp)
+      << label << " (shards=2 metrics) drifted; new rendering:\n"
+      << render_shard_metrics(serial[1]);
+
+  // One metrics path at every shard count.
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const ExperimentResult& r = serial[i];
+    ASSERT_NE(r.metrics, nullptr) << label;
+    EXPECT_EQ(r.metrics->per_node.size(), config.num_nodes) << label;
+    const obs::MetricsRegistry& agg = r.metrics->aggregate;
+    const std::string where =
+        std::string(label) + ": shards=" + std::to_string(shard_counts[i]);
+    EXPECT_EQ(agg.counter("goodput.offered_msgs"), r.offered_msgs) << where;
+    EXPECT_EQ(agg.counter("transport.buffer_drops"), r.buffer_drops) << where;
+    EXPECT_EQ(agg.counter("transport.egress_serialized_packets"),
+              r.egress_serialized_packets)
+        << where;
+    EXPECT_EQ(agg.counter("recovery_gave_up"), r.recovery_gave_up) << where;
+    EXPECT_EQ(agg.counter("iwant_retries"), r.iwant_retries) << where;
+    if (i >= 2) {
+      EXPECT_EQ(render_document(*r.metrics),
+                render_document(*serial[1].metrics))
+          << where << ": metrics document differs from shards=2";
+    }
+  }
+  std::vector<std::string> want = key_set(serial[0].metrics->aggregate);
+  for (const std::string& key : key_set(serial[1].metrics->aggregate)) {
+    if (key.rfind("sim.shard.", 0) == 0) want.push_back(key);
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(key_set(serial[1].metrics->aggregate), want)
+      << label << ": shards=2 keys are not shards=1 keys + sim.shard.*";
+}
+
+// Beyond the batching golden and both heavy workloads, the rows cover the
+// per-shard pieces of the assembly: the static best set over the CSR
+// overlay, per-shard path replicas and oracle monitors (on-demand paths),
+// HyParView joins scheduled on shard simulators, and the
+// control-simulator GC sweep.
+
+TEST(Equivalence, ShardCountInvarianceFlatBatched) {
+  ExperimentConfig c = base100();
+  c.strategy = StrategySpec::make_flat(0.2);
+  c.ihave_batch_window = 20 * kMillisecond;
+  expect_shard_count_invariance("flat batched", c, 13594102927201393101ULL,
+                                9375248610818417151ULL,
+                                6905396730814000469ULL);
+}
+
+TEST(Equivalence, ShardCountInvarianceHeavySaturated) {
+  expect_shard_count_invariance("heavy saturated", heavy_config(),
+                                274683939965400477ULL, 7599652059359661393ULL,
+                                11539751588960963977ULL);
+}
+
+TEST(Equivalence, ShardCountInvarianceHeavySaturatedBackpressure) {
+  ExperimentConfig c = saturated_heavy_config();
+  c.backpressure = true;
+  expect_shard_count_invariance("heavy saturated backpressure", c,
+                                8385663769898990067ULL, 571881640632054520ULL,
+                                7516944883419954984ULL);
+}
+
+TEST(Equivalence, ShardCountInvarianceRankedOracleStatic) {
+  ExperimentConfig c = base100();
+  c.strategy = StrategySpec::make_ranked(0.2);
+  c.overlay_kind = OverlayKind::static_random;
+  expect_shard_count_invariance("ranked oracle static", c,
+                                1604900674428018904ULL, 9268551740128528663ULL,
+                                13889045929669456421ULL);
+}
+
+TEST(Equivalence, ShardCountInvarianceHybridOracleLatencyOndemand) {
+  ExperimentConfig c = base100();
+  c.strategy = StrategySpec::make_hybrid(40.0, 2, 0.2);
+  c.strategy.monitor = MonitorKind::oracle_latency;
+  c.path_model = net::PathModelKind::ondemand;
+  expect_shard_count_invariance("hybrid oracle-latency ondemand", c,
+                                12159288510190596882ULL,
+                                11655525612097669028ULL,
+                                1222815069517399547ULL);
+}
+
+TEST(Equivalence, ShardCountInvarianceAdaptiveHyParView) {
+  ExperimentConfig c = base100();
+  c.strategy = StrategySpec::make_adaptive();
+  c.overlay_kind = OverlayKind::hyparview;
+  c.num_messages = 80;
+  expect_shard_count_invariance("adaptive hyparview", c,
+                                7881414475447806568ULL, 8178467499354249240ULL,
+                                2210064359665294691ULL);
+}
+
+TEST(Equivalence, ShardCountInvarianceLossyGc) {
+  ExperimentConfig c = base100();
+  c.strategy = StrategySpec::make_flat(0.0);
+  c.loss_rate = 0.15;
+  c.message_lifetime = 20 * kSecond;
+  expect_shard_count_invariance("lossy gc", c, 17866614813319905191ULL,
+                                15975168835108458281ULL,
+                                18082783299800216517ULL);
 }
 
 TEST(Equivalence, GossipRankDeterminism) {

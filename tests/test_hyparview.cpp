@@ -28,7 +28,7 @@ struct Swarm {
                                                       params, Rng(700 + id)));
       transport.register_handler(id, [this, id](NodeId src,
                                                 const net::PacketPtr& p) {
-        nodes[id]->handle_packet(src, p);
+        nodes[id]->handle_packet(src, static_cast<const HpvPacket&>(*p));
       });
     }
   }

@@ -55,7 +55,7 @@ struct PingFixture {
           sim, transport, id, *samplers[id], params, Rng(200 + id)));
       transport.register_handler(id, [this, id](NodeId src,
                                                 const net::PacketPtr& p) {
-        monitors[id]->handle_packet(src, p);
+        monitors[id]->handle_packet(src, static_cast<const PingPacket&>(*p));
       });
     }
   }
@@ -98,10 +98,10 @@ TEST(PingMonitor, EwmaSmoothsJitter) {
   PingMonitor m0(sim, transport, 0, s0, params, Rng(3));
   PingMonitor m1(sim, transport, 1, s1, params, Rng(4));
   transport.register_handler(0, [&](NodeId src, const net::PacketPtr& p) {
-    m0.handle_packet(src, p);
+    m0.handle_packet(src, static_cast<const PingPacket&>(*p));
   });
   transport.register_handler(1, [&](NodeId src, const net::PacketPtr& p) {
-    m1.handle_packet(src, p);
+    m1.handle_packet(src, static_cast<const PingPacket&>(*p));
   });
   m0.start();
   sim.run_until(120 * kSecond);

@@ -27,7 +27,7 @@ struct Swarm {
           std::make_unique<NeemNode>(sim, transport, id, params, Rng(800 + id)));
       transport.register_handler(id, [this, id](NodeId src,
                                                 const net::PacketPtr& p) {
-        nodes[id]->handle_packet(src, p);
+        nodes[id]->handle_packet(src, static_cast<const NeemPacket&>(*p));
       });
     }
   }

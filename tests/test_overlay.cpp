@@ -38,7 +38,7 @@ struct Swarm {
       nodes[id]->bootstrap(contacts);
       transport.register_handler(id, [this, id](NodeId src,
                                                 const net::PacketPtr& p) {
-        nodes[id]->handle_packet(src, p);
+        nodes[id]->handle_packet(src, static_cast<const ShufflePacket&>(*p));
       });
     }
   }

@@ -137,9 +137,9 @@ TEST(PullGossip, DigestCapKeepsRequestsBounded) {
   bool saw_request = false;
   swarm.transport.register_handler(
       1, [&](NodeId src, const net::PacketPtr& packet) {
-        if (const auto* req =
-                dynamic_cast<const PullRequestPacket*>(packet.get())) {
-          EXPECT_LE(req->known.size(), 4u);
+        if (packet->type == net::PacketType::pull_request) {
+          EXPECT_LE(static_cast<const PullRequestPacket&>(*packet).known.size(),
+                    4u);
           saw_request = true;
         }
         swarm.nodes[1]->handle_packet(src, packet);

@@ -30,7 +30,8 @@ struct Swarm {
           best_fraction, params, Rng(700 + id)));
       transport.register_handler(id, [this, id](NodeId src,
                                                 const net::PacketPtr& p) {
-        estimators[id]->handle_packet(src, p);
+        estimators[id]->handle_packet(
+            src, static_cast<const RankGossipPacket&>(*p));
       });
     }
   }

@@ -354,9 +354,8 @@ TEST(Scheduler, BatchOverflowFlushesAndSplitsAtWireCap) {
   // scheduler: 65k+ IWANT/DATA round trips are beside the point here.
   std::vector<std::size_t> ihave_sizes;
   transport.register_handler(1, [&](NodeId, const net::PacketPtr& p) {
-    const auto* ihave = dynamic_cast<const IHavePacket*>(p.get());
-    ASSERT_NE(ihave, nullptr);
-    ihave_sizes.push_back(ihave->ids.size());
+    ASSERT_EQ(p->type, net::PacketType::ihave);
+    ihave_sizes.push_back(static_cast<const IHavePacket&>(*p).ids.size());
   });
   sched.set_ihave_batch_window(30 * kMillisecond);
   const std::size_t total = kMaxIHaveIds + 5;

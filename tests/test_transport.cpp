@@ -42,8 +42,8 @@ struct Fixture {
     for (NodeId id = 0; id < n; ++id) {
       transport.register_handler(id, [this, id](NodeId src,
                                                 const PacketPtr& pkt) {
-        const auto* tp = dynamic_cast<const TestPacket*>(pkt.get());
-        received[id].push_back({src, tp != nullptr ? tp->tag : -1});
+        received[id].push_back(
+            {src, static_cast<const TestPacket&>(*pkt).tag});
       });
     }
   }
@@ -444,8 +444,8 @@ TEST(Transport, LossBurstOnSaturatedLinkLeavesUnrelatedLinksUntouched) {
     if (with_fault) f.transport.set_link_extra_loss(0, 1, 0.7);
     Outcome out;
     f.transport.register_handler(3, [&](NodeId, const PacketPtr& pkt) {
-      const auto* tp = dynamic_cast<const TestPacket*>(pkt.get());
-      out.unrelated.emplace_back(f.sim.now(), tp->tag);
+      out.unrelated.emplace_back(f.sim.now(),
+                                 static_cast<const TestPacket&>(*pkt).tag);
     });
     for (int i = 0; i < 100; ++i) {
       f.transport.send(0, 1, make_packet(i), 500, true);  // saturated + lossy
@@ -702,9 +702,8 @@ TEST(Transport, PurgeListenerReportsDroppedPacketIdentity) {
       [&](NodeId src, NodeId dst, const PacketPtr& pkt, bool is_payload) {
         EXPECT_EQ(src, 0u);
         EXPECT_EQ(dst, 1u);
-        const auto* tp = dynamic_cast<const TestPacket*>(pkt.get());
-        ASSERT_NE(tp, nullptr);
-        purged.push_back({tp->tag, is_payload});
+        purged.push_back(
+            {static_cast<const TestPacket&>(*pkt).tag, is_payload});
       });
   // Same shape as DropOldestKeepsFreshest: head (0) survives in service,
   // the stale middle (1, 2, 3) is purged one victim per arrival, the
@@ -729,7 +728,7 @@ TEST(Transport, PurgeListenerCoversRefusalAndOversized) {
   std::vector<int> purged;
   f.transport.set_purge_listener(
       [&](NodeId, NodeId, const PacketPtr& pkt, bool) {
-        purged.push_back(dynamic_cast<const TestPacket*>(pkt.get())->tag);
+        purged.push_back(static_cast<const TestPacket&>(*pkt).tag);
       });
   // Tail drop refuses the arriving packet itself.
   for (int i = 0; i < 4; ++i) {
@@ -863,12 +862,10 @@ TEST(LatencyModels, RandomModelIsSymmetricWithinRange) {
 
 // --------------------------------------------------------- packet storage
 
-struct OtherPacket final : public Packet {};
-
 /// Counts destructions, to observe late releases.
 std::atomic<int> g_counted_destroyed{0};
 struct CountedPacket final : public Packet {
-  ~CountedPacket() override { ++g_counted_destroyed; }
+  ~CountedPacket() { ++g_counted_destroyed; }
 };
 
 TEST(PacketPool, ReleasedBlockIsReusedOnTheSameThread) {
@@ -879,15 +876,14 @@ TEST(PacketPool, ReleasedBlockIsReusedOnTheSameThread) {
   EXPECT_EQ(second.get(), address);
 }
 
-TEST(PacketPool, PooledPacketSupportsDynamicPointerCast) {
+TEST(PacketPool, PooledPacketSupportsStaticPointerCast) {
   auto made = net::make_packet<TestPacket>();
   made->tag = 5;
   const PacketPtr packet = std::move(made);
-  const auto typed = std::dynamic_pointer_cast<const TestPacket>(packet);
-  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(packet->type, PacketType::none);
+  const auto typed = std::static_pointer_cast<const TestPacket>(packet);
   EXPECT_EQ(typed->tag, 5);
   EXPECT_EQ(typed.use_count(), 2);
-  EXPECT_EQ(std::dynamic_pointer_cast<const OtherPacket>(packet), nullptr);
 }
 
 TEST(PacketPool, ReleaseOnAnotherThreadFeedsThatThreadsList) {

@@ -72,7 +72,7 @@ TEST(Uniformity, CyclonSamplingIsNearUniformOverTime) {
     nodes[id]->bootstrap(contacts);
     transport.register_handler(id, [&nodes, id](NodeId src,
                                                 const net::PacketPtr& p) {
-      nodes[id]->handle_packet(src, p);
+      nodes[id]->handle_packet(src, static_cast<const ShufflePacket&>(*p));
     });
   }
   for (auto& n : nodes) n->start();
@@ -103,7 +103,7 @@ TEST(Uniformity, NeemSamplingIsNearUniformOverTime) {
                                                NeemParams{}, Rng(300 + id)));
     transport.register_handler(id, [&nodes, id](NodeId src,
                                                 const net::PacketPtr& p) {
-      nodes[id]->handle_packet(src, p);
+      nodes[id]->handle_packet(src, static_cast<const NeemPacket&>(*p));
     });
   }
   for (NodeId id = 0; id < kN; ++id) {

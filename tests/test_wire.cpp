@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/message.hpp"
@@ -85,9 +87,8 @@ std::shared_ptr<const T> round_trip(const T& packet, NodeId src = 3,
   const Frame frame = decode_packet(bytes);
   EXPECT_EQ(frame.src, src);
   EXPECT_EQ(frame.dst, dst);
-  auto typed = std::dynamic_pointer_cast<const T>(frame.packet);
-  EXPECT_NE(typed, nullptr);
-  return typed;
+  EXPECT_EQ(frame.packet->type, packet.type);
+  return std::static_pointer_cast<const T>(frame.packet);
 }
 
 TEST(Codec, DataPacketRoundTrip) {
@@ -295,6 +296,46 @@ TEST(Codec, RejectsTrailingGarbage) {
   EXPECT_THROW(decode_packet(bytes), DecodeError);
 }
 
+TEST(Codec, EveryPacketTypeKeepsItsWireByte) {
+  // The frame's type byte is the packet's net::PacketType. These values
+  // are the wire format (docs/PROTOCOL.md §8): one row per type, pinned.
+  const std::pair<std::uint8_t, net::PacketPtr> table[] = {
+      {1, net::make_packet<core::DataPacket>()},
+      {2, net::make_packet<core::IHavePacket>()},
+      {3, net::make_packet<core::IWantPacket>()},
+      {4, net::make_packet<overlay::ShufflePacket>()},
+      {5, net::make_packet<core::PingPacket>()},
+      {6, net::make_packet<rank::RankGossipPacket>()},
+      {7, net::make_packet<tree::HeartbeatPacket>()},
+      {8, net::make_packet<tree::AttachRequestPacket>()},
+      {9, net::make_packet<tree::AttachAcceptPacket>()},
+      {10, net::make_packet<pull::PullRequestPacket>()},
+      {11, net::make_packet<pull::PullReplyPacket>()},
+      {12, net::make_packet<pull::PullAdvertisePacket>()},
+      {13, net::make_packet<pull::PullFetchPacket>()},
+      {14, net::make_packet<core::PrunePacket>()},
+      {15, net::make_packet<overlay::HpvPacket>()},
+      {16, net::make_packet<overlay::NeemPacket>()},
+  };
+  // Every type but `none` has a row.
+  EXPECT_EQ(std::size(table),
+            static_cast<std::size_t>(net::PacketType::neem));
+  for (const auto& [byte, packet] : table) {
+    EXPECT_EQ(static_cast<std::uint8_t>(packet->type), byte);
+    const auto bytes = encode_packet(*packet, 3, 9);
+    ASSERT_GT(bytes.size(), 5u);
+    EXPECT_EQ(bytes[5], byte);
+    EXPECT_EQ(static_cast<std::uint8_t>(decode_packet(bytes).packet->type),
+              byte);
+  }
+  // A packet no protocol owns has no frame.
+  struct Unowned final : net::Packet {};
+  const Unowned unowned;
+  EXPECT_EQ(unowned.type, net::PacketType::none);
+  EXPECT_THROW(encode_packet(unowned, 3, 9), DecodeError);
+  EXPECT_THROW(encoded_size(unowned), DecodeError);
+}
+
 TEST(Codec, RejectsUnknownType) {
   auto bytes = encode_packet(core::IHavePacket{}, 0, 1);
   bytes[5] = 0xEE;  // type tag
@@ -357,20 +398,17 @@ TEST(Codec, IHaveRoundTripsAtOneTwoAndMaxIds) {
   }
 }
 
-TEST(Codec, DecodedPacketsAreDynamicPointerCastable) {
+TEST(Codec, DecodedPacketsAreStaticPointerCastable) {
   // Decoded packets come from pooled storage; PacketPtr casts must behave
   // exactly as on make_shared packets.
   core::IWantPacket iwant;
   iwant.id = MsgId{5, 6};
   const net::PacketPtr decoded =
       decode_packet(encode_packet(iwant, 0, 1)).packet;
-  const auto typed =
-      std::dynamic_pointer_cast<const core::IWantPacket>(decoded);
-  ASSERT_NE(typed, nullptr);
+  ASSERT_EQ(decoded->type, net::PacketType::iwant);
+  const auto typed = std::static_pointer_cast<const core::IWantPacket>(decoded);
   EXPECT_EQ(typed->id, (MsgId{5, 6}));
   EXPECT_EQ(typed.use_count(), 2);
-  EXPECT_EQ(std::dynamic_pointer_cast<const core::IHavePacket>(decoded),
-            nullptr);
 }
 
 TEST(Codec, RandomInputNeverCrashes) {
