@@ -1,13 +1,9 @@
-// Ablation A3: sensitivity to the request timers.
+// Ablation A3b: sensitivity to Radius's first-request delay T0.
 //
-// The paper sets the retransmission period T = 400 ms ("the minimal that
-// results in approximately 1 payload received by each destination when
-// using a fully lazy push strategy") and claims T "has no practical impact
-// in the final average latency, and can be set only approximately" in the
-// no-loss case; bench/figures/ablation_timers.fig sweeps T. T0 (Radius)
-// trades first-request delay against duplicate suppression: this program
-// sweeps T0 as a multiple of rho, which no flag can express, and the IHAVE
-// batching window, whose control-byte column is not a --kv number.
+// bench/figures/ablation_timers.fig sweeps the retransmission period T
+// (A3a) and the IHAVE batching window (A3c). T0 trades first-request delay
+// against duplicate suppression: this program sweeps T0 as a multiple of
+// rho, which no flag can express.
 #include <cstdio>
 
 #include "harness/experiment.hpp"
@@ -26,7 +22,6 @@ int main() {
   base.num_nodes = 100;
   base.num_messages = 300;
 
-  // --- T0 sweep: Radius first-request delay --------------------------------
   net::TopologyParams topo_params = base.topology;
   topo_params.num_clients = base.num_nodes;
   const net::Topology topo = net::generate_topology(topo_params, base.seed);
@@ -49,34 +44,9 @@ int main() {
   }
   t0_table.print();
 
-  // --- IHAVE batching window --------------------------------------------------
-  // Batching only pays off when several messages are in flight per window,
-  // so this ablation uses a 50 msg/s stream (the paper's 2 msg/s workload
-  // rarely has two advertisements for the same destination in flight).
-  Table batch_table(
-      "Ablation A3c: IHAVE aggregation window (lazy push, 50 msg/s)");
-  batch_table.header({"window ms", "latency ms", "control pkts",
-                      "control bytes (KiB)", "deliveries %"});
-  for (const SimTime w : {0, 10, 25, 50, 100}) {
-    ExperimentConfig config = base;
-    config.strategy = StrategySpec::make_flat(0.0);
-    config.mean_interval = 20 * kMillisecond;
-    config.ihave_batch_window = w * kMillisecond;
-    const auto r = harness::run_experiment(config);
-    const std::uint64_t control_bytes =
-        r.total_bytes - static_cast<std::uint64_t>(r.payload_packets) * 280;
-    batch_table.row({std::to_string(w), Table::num(r.mean_latency_ms, 0),
-                     std::to_string(r.control_packets),
-                     Table::num(static_cast<double>(control_bytes) / 1024.0, 0),
-                     Table::num(100.0 * r.mean_delivery_fraction, 2)});
-  }
-  batch_table.print();
-
   std::puts(
-      "\nClaim checks: small T0 requests\n"
-      "payloads that are already in flight (more duplicates); large T0\n"
-      "delays delivery for payloads no eager path will bring. Batching\n"
-      "IHAVEs cuts control packets almost linearly with the window at the\n"
-      "price of that much added advertisement (and thus delivery) delay.");
+      "\nClaim check: small T0 requests payloads that are already in\n"
+      "flight (more duplicates); large T0 delays delivery for payloads no\n"
+      "eager path will bring.");
   return 0;
 }

@@ -1609,6 +1609,7 @@ ExperimentResult Assembly::finalize() {
   result.control_packets =
       tstats.total_packets() - tstats.total_payload_packets();
   result.total_bytes = tstats.total_bytes();
+  result.control_bytes = tstats.total_bytes() - tstats.total_payload_bytes();
   result.packets_lost = transport_->packets_lost();
   result.buffer_drops = transport_->buffer_drops();
 
@@ -1721,7 +1722,6 @@ ExperimentResult Assembly::finalize() {
   for (NodeId id = 0; id < n; ++id) {
     result.node_payloads[id] = tstats.node_sent_payload(id);
   }
-  result.client_coords = topo_.client_coords;
   if (needs_best_) result.best_nodes = oracle_best_;
 
   // Per-shard send counters sum into the run-wide vector.

@@ -70,6 +70,8 @@ struct ExperimentResult {
   std::uint64_t payload_packets = 0;
   std::uint64_t control_packets = 0;
   std::uint64_t total_bytes = 0;
+  /// total_bytes less the payload packets' bytes.
+  std::uint64_t control_bytes = 0;
   std::uint64_t duplicate_payloads = 0;
   std::uint64_t requests_sent = 0;
   /// IWANTs re-sent on retry passes over already-asked advertisers
@@ -166,8 +168,6 @@ struct ExperimentResult {
       connection_payloads;
   /// Payload packets sent per node.
   std::vector<std::uint64_t> node_payloads;
-  /// Client coordinates (for rendering emergent structure).
-  std::vector<net::Point> client_coords;
   /// Oracle best-node ranking actually used (empty when not ranked).
   std::vector<NodeId> best_nodes;
   /// Live audience (nodes that could deliver, incl. the origin) per

@@ -4,6 +4,21 @@
 #include <sstream>
 
 namespace esm::harness {
+namespace {
+
+/// The busiest node's share of all payload sends: Fig. 4's hub measure.
+double max_node_payload_share(const ExperimentResult& r) {
+  std::uint64_t total = 0;
+  std::uint64_t busiest = 0;
+  for (const std::uint64_t p : r.node_payloads) {
+    total += p;
+    busiest = std::max(busiest, p);
+  }
+  return total == 0 ? 0.0
+                    : static_cast<double>(busiest) / static_cast<double>(total);
+}
+
+}  // namespace
 
 std::array<RunScalar, kRunScalars> run_scalars(const ExperimentResult& r) {
   constexpr auto C = RunScalar::Merge::counter;
@@ -23,9 +38,11 @@ std::array<RunScalar, kRunScalars> run_scalars(const ExperimentResult& r) {
       {"mean_delivery_fraction", nullptr, G, A, r.mean_delivery_fraction},
       {"atomic_delivery_fraction", nullptr, G, A, r.atomic_delivery_fraction},
       {"top5_connection_share", nullptr, G, A, r.top5_connection_share},
+      {"max_node_payload_share", nullptr, G, A, max_node_payload_share(r)},
       {"payload_packets", nullptr, C, A, r.payload_packets},
       {"control_packets", nullptr, C, A, r.control_packets},
       {"total_bytes", nullptr, C, A, r.total_bytes},
+      {"control_bytes", nullptr, C, A, r.control_bytes},
       {"duplicate_payloads", nullptr, C, A, r.duplicate_payloads},
       {"requests_sent", nullptr, C, A, r.requests_sent},
       // kv-only: the lifecycle tracker owns these metrics names, and its
@@ -37,6 +54,10 @@ std::array<RunScalar, kRunScalars> run_scalars(const ExperimentResult& r) {
       {"buffer_drops", "transport.buffer_drops", C, A, r.buffer_drops},
       {"live_nodes", nullptr, G, A, r.live_nodes},
       {"events_executed", nullptr, C, A, r.events_executed},
+      // NeEM connection census (§5.4); 0 on the other overlays.
+      {"peak_simultaneous_connections", nullptr, G, A,
+       r.peak_simultaneous_connections},
+      {"connections_opened", nullptr, C, A, r.connections_opened},
       // Deterministic footprints. Peak RSS is process-wide and depends on
       // scheduling, so it stays out of the metrics document.
       {"path_model_bytes", "path_model.bytes", G, A, r.path_model_bytes},

@@ -39,8 +39,8 @@ struct RunScalar {
   }
 };
 
-/// 50 kv names and 32 metrics keys; 25 numbers carry both.
-inline constexpr std::size_t kRunScalars = 57;
+/// 54 kv names and 32 metrics keys; 25 numbers carry both.
+inline constexpr std::size_t kRunScalars = 61;
 
 /// Every exported scalar of `result`, in kv order.
 std::array<RunScalar, kRunScalars> run_scalars(const ExperimentResult& result);

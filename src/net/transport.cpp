@@ -89,6 +89,12 @@ const LinkCounters& TrafficStats::link(NodeId src, NodeId dst) const {
   return it == links_.end() ? kEmpty : it->second;
 }
 
+std::uint64_t TrafficStats::total_payload_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const auto& [k, counters] : links_) bytes += counters.payload_bytes;
+  return bytes;
+}
+
 std::vector<std::pair<std::pair<NodeId, NodeId>, std::uint64_t>>
 TrafficStats::undirected_payload_counts() const {
   std::unordered_map<std::uint64_t, std::uint64_t> undirected;

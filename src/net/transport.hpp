@@ -35,12 +35,13 @@ namespace esm::net {
 
 /// Every packet kind a protocol layer owns. The value is also the type byte
 /// of the wire frame (docs/PROTOCOL.md §8), so the numbers never change.
+/// Bytes 7-9 are retired: decoding rejects them, and no new type takes
+/// them, so an old frame never decodes as a different packet.
 enum class PacketType : std::uint8_t {
   none = 0,  // owned by no protocol: the transport's own, or a test's
   data = 1, ihave = 2, iwant = 3, shuffle = 4, ping = 5, rank_gossip = 6,
-  heartbeat = 7, attach_request = 8, attach_accept = 9, pull_request = 10,
-  pull_reply = 11, pull_advertise = 12, pull_fetch = 13, prune = 14,
-  hyparview = 15, neem = 16,
+  pull_request = 10, pull_reply = 11, pull_advertise = 12, pull_fetch = 13,
+  prune = 14, hyparview = 15, neem = 16,
 };
 
 /// Base of everything that travels through the transport. `type` is the
@@ -105,6 +106,8 @@ class TrafficStats {
   std::uint64_t total_payload_packets() const { return total_payload_packets_; }
   std::uint64_t total_packets() const { return total_packets_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
+  /// Sums the links' payload bytes; for end-of-run reports.
+  std::uint64_t total_payload_bytes() const;
   std::uint64_t node_sent_payload(NodeId n) const {
     return node_sent_payload_.at(n);
   }

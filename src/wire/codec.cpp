@@ -10,7 +10,6 @@
 #include "overlay/neem.hpp"
 #include "pull/pull_gossip.hpp"
 #include "rank/rank_estimator.hpp"
-#include "tree/tree_multicast.hpp"
 
 namespace esm::wire {
 
@@ -199,12 +198,6 @@ void encode_body(const net::Packet& packet, ByteWriter& w) {
       for (const NodeId n : neem.addresses) w.u32(n);
       return;
     }
-    case net::PacketType::heartbeat:
-    case net::PacketType::attach_request:
-      return;
-    case net::PacketType::attach_accept:
-      w.u8(static_cast<const tree::AttachAcceptPacket&>(packet).accepted);
-      return;
     case net::PacketType::none:
       break;
   }
@@ -322,15 +315,6 @@ net::PacketPtr decode_body(net::PacketType type, ByteReader& r) {
       const std::uint16_t count = r.u16();
       p->addresses.reserve(count);
       for (std::uint16_t i = 0; i < count; ++i) p->addresses.push_back(r.u32());
-      return p;
-    }
-    case net::PacketType::heartbeat:
-      return net::make_packet<tree::HeartbeatPacket>();
-    case net::PacketType::attach_request:
-      return net::make_packet<tree::AttachRequestPacket>();
-    case net::PacketType::attach_accept: {
-      auto p = net::make_packet<tree::AttachAcceptPacket>();
-      p->accepted = r.u8() != 0;
       return p;
     }
     case net::PacketType::none:

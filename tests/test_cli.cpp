@@ -786,7 +786,7 @@ TEST(Cli, RunScalarsNameEachNumberOnce) {
       EXPECT_TRUE(key.starts_with("backpressure.")) << name;
     }
   }
-  EXPECT_EQ(kv.size(), 50u);
+  EXPECT_EQ(kv.size(), 54u);
   EXPECT_EQ(json.size(), 32u);
   EXPECT_EQ(twins, 25u);
 }
@@ -812,9 +812,11 @@ payload_per_msg_best=0
 mean_delivery_fraction=1
 atomic_delivery_fraction=1
 top5_connection_share=0.09864
+max_node_payload_share=0.0457152
 payload_packets=6103
 control_packets=54075
 total_bytes=3977382
+control_bytes=2268542
 duplicate_payloads=1917
 requests_sent=8287
 iwant_retries=895
@@ -824,6 +826,8 @@ packets_lost=0
 buffer_drops=21814
 live_nodes=24
 events_executed=132810
+peak_simultaneous_connections=0
+connections_opened=0
 path_model_bytes=5760
 path_rows_computed=24
 path_row_evictions=0

@@ -249,6 +249,50 @@ TEST(Figure, RhoQuantileIsTheProgramsRho) {
   EXPECT_EQ(resolved_rho(flat, *paths, topo.client_coords), 0.0);
 }
 
+TEST(Figure, NewRowsAreTheProgramsNumbers) {
+  // The removed Fig. 4, §5.4 and A3c programs computed these numbers from
+  // the result's fields; the specs read them as run_scalars rows. One
+  // §5.4-style run (NeEM, so connections are counted) and one A3c point.
+  std::string error;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--strategy", "flat", "--pi", "1",
+                                 "--overlay", "neem"},
+        std::vector<std::string>{"--strategy", "flat", "--pi", "0",
+                                 "--interval-ms", "20", "--batch-ms",
+                                 "100"}}) {
+    auto options = parse_cli(args, error);
+    ASSERT_TRUE(options) << error;
+    options->config.seed = 2007;
+    options->config.num_nodes = 100;
+    options->config.num_messages = 60;
+    const ExperimentResult r = run_experiment(options->config);
+    const auto row = [&r](std::string_view kv) {
+      for (const RunScalar& s : run_scalars(r)) {
+        if (s.kv != nullptr && s.kv == kv) return s.value;
+      }
+      ADD_FAILURE() << kv;
+      return std::variant<std::uint64_t, double>{};
+    };
+    // Fig. 4: the busiest node's payload sends over all payload sends.
+    std::uint64_t total = 0, max_node = 0;
+    for (const auto p : r.node_payloads) {
+      total += p;
+      max_node = std::max(max_node, p);
+    }
+    ASSERT_GT(total, 0u);
+    EXPECT_EQ(std::get<double>(row("max_node_payload_share")),
+              static_cast<double>(max_node) / static_cast<double>(total));
+    // A3c: every payload packet is 280 bytes at the default payload size.
+    EXPECT_EQ(std::get<std::uint64_t>(row("control_bytes")),
+              r.total_bytes - r.payload_packets * 280);
+    // §5.4 printed the two census fields.
+    EXPECT_EQ(std::get<std::uint64_t>(row("peak_simultaneous_connections")),
+              r.peak_simultaneous_connections);
+    EXPECT_EQ(std::get<std::uint64_t>(row("connections_opened")),
+              r.connections_opened);
+  }
+}
+
 TEST(Figure, RhoGrammar) {
   std::string error;
   auto options = parse_cli({"--rho", "q0.25"}, error);
@@ -276,7 +320,7 @@ TEST(Figure, EveryCommittedSpecBuilds) {
     EXPECT_FALSE(spec.predicates.empty()) << entry.path();
     ++specs;
   }
-  EXPECT_EQ(specs, 12u);
+  EXPECT_EQ(specs, 14u);
 }
 
 }  // namespace

@@ -118,7 +118,6 @@ TEST(Harness, ResultBookkeepingConsistency) {
   c.strategy = StrategySpec::make_ttl(2);
   const ExperimentResult r = run_experiment(c);
   EXPECT_EQ(r.node_payloads.size(), c.num_nodes);
-  EXPECT_EQ(r.client_coords.size(), c.num_nodes);
   EXPECT_EQ(r.load_all.nodes, c.num_nodes);
   std::uint64_t node_total = 0;
   for (const auto p : r.node_payloads) node_total += p;

@@ -14,7 +14,6 @@
 #include "overlay/neem.hpp"
 #include "pull/pull_gossip.hpp"
 #include "rank/rank_estimator.hpp"
-#include "tree/tree_multicast.hpp"
 
 namespace esm::wire {
 namespace {
@@ -256,14 +255,6 @@ TEST(Codec, DataPacketWithRealContentRoundTrip) {
   EXPECT_THROW(encode_packet(bad, 0, 1), DecodeError);
 }
 
-TEST(Codec, TreePacketsRoundTrip) {
-  round_trip(tree::HeartbeatPacket{});
-  round_trip(tree::AttachRequestPacket{});
-  tree::AttachAcceptPacket accept;
-  accept.accepted = true;
-  EXPECT_TRUE(round_trip(accept)->accepted);
-}
-
 TEST(Codec, RejectsBadMagic) {
   auto bytes = encode_packet(core::IHavePacket{}, 0, 1);
   bytes[0] ^= 0xFF;
@@ -296,6 +287,9 @@ TEST(Codec, RejectsTrailingGarbage) {
   EXPECT_THROW(decode_packet(bytes), DecodeError);
 }
 
+/// Retired type bytes (docs/PROTOCOL.md §8): no packet type takes them.
+constexpr std::uint8_t kRetiredWireBytes[] = {7, 8, 9};
+
 TEST(Codec, EveryPacketTypeKeepsItsWireByte) {
   // The frame's type byte is the packet's net::PacketType. These values
   // are the wire format (docs/PROTOCOL.md §8): one row per type, pinned.
@@ -306,9 +300,6 @@ TEST(Codec, EveryPacketTypeKeepsItsWireByte) {
       {4, net::make_packet<overlay::ShufflePacket>()},
       {5, net::make_packet<core::PingPacket>()},
       {6, net::make_packet<rank::RankGossipPacket>()},
-      {7, net::make_packet<tree::HeartbeatPacket>()},
-      {8, net::make_packet<tree::AttachRequestPacket>()},
-      {9, net::make_packet<tree::AttachAcceptPacket>()},
       {10, net::make_packet<pull::PullRequestPacket>()},
       {11, net::make_packet<pull::PullReplyPacket>()},
       {12, net::make_packet<pull::PullAdvertisePacket>()},
@@ -317,8 +308,9 @@ TEST(Codec, EveryPacketTypeKeepsItsWireByte) {
       {15, net::make_packet<overlay::HpvPacket>()},
       {16, net::make_packet<overlay::NeemPacket>()},
   };
-  // Every type but `none` has a row.
-  EXPECT_EQ(std::size(table),
+  // Every type but `none` has a row; 7-9 are retired
+  // (Codec.RetiredWireBytesAreRejected).
+  EXPECT_EQ(std::size(table) + std::size(kRetiredWireBytes),
             static_cast<std::size_t>(net::PacketType::neem));
   for (const auto& [byte, packet] : table) {
     EXPECT_EQ(static_cast<std::uint8_t>(packet->type), byte);
@@ -334,6 +326,16 @@ TEST(Codec, EveryPacketTypeKeepsItsWireByte) {
   EXPECT_EQ(unowned.type, net::PacketType::none);
   EXPECT_THROW(encode_packet(unowned, 3, 9), DecodeError);
   EXPECT_THROW(encoded_size(unowned), DecodeError);
+}
+
+TEST(Codec, RetiredWireBytesAreRejected) {
+  // A well-formed frame (length and checksum match) whose type byte is
+  // retired does not decode.
+  for (const std::uint8_t retired : kRetiredWireBytes) {
+    auto bytes = encode_packet(core::IWantPacket{}, 3, 9);
+    bytes[5] = retired;
+    EXPECT_THROW(decode_packet(bytes), DecodeError) << int{retired};
+  }
 }
 
 TEST(Codec, RejectsUnknownType) {
